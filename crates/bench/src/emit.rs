@@ -33,8 +33,9 @@ use crate::{figure_panel_string, signature_string};
 /// interval-garbage-collection counters; the home-based protocol added the
 /// per-cell `protocol` field and the `home_updates`/`page_fetches` counters
 /// inside `breakdown`; the event-driven engine rework added the per-cell
-/// `engine` field, emitted only for the non-default (threaded) substrate so
-/// default-engine documents stay byte-identical; the network-contention
+/// `engine` field, emitted only for a since-retired threaded substrate (it
+/// is never emitted now, and still parsed: `"threaded"` and `"event"` both
+/// name the one engine); the network-contention
 /// subsystem added the per-cell `topology` and `aggregation` fields (emitted
 /// only when non-default, same discipline) and the per-cell `links` array of
 /// per-link occupancy counters (emitted only when a contended topology
@@ -116,18 +117,8 @@ impl ToJson for Cell {
             ),
             ("protocol".to_string(), self.protocol.to_json()),
         ];
-        // Emitted only for the non-default substrate: engines never change
-        // measurements, and default-engine documents must stay byte-identical
-        // to those emitted before the engine axis existed.
-        if self.engine != tm_sched::EngineKind::default() {
-            pairs.push((
-                "engine".to_string(),
-                Value::Str(self.engine.as_str().to_string()),
-            ));
-        }
-        // Same discipline for the network axis: the ideal topology and
-        // per-message aggregation are omitted so pre-topology documents stay
-        // byte-identical.
+        // Additive fields: the ideal topology and per-message aggregation are
+        // omitted so pre-topology documents stay byte-identical.
         if self.network.topology != tdsm_core::Topology::default() {
             pairs.push((
                 "topology".to_string(),
@@ -192,8 +183,8 @@ impl FromJson for Cell {
                 None => tdsm_core::ProtocolMode::MultiWriter,
                 Some(p) => tdsm_core::ProtocolMode::from_json(p)?,
             },
-            // Additive v1 field: absent means the default (event-driven)
-            // substrate — and engines never change measurements anyway.
+            // Legacy v1 field: validated; either former engine name parses
+            // to the one engine.
             engine: tdsm_core::engine_from_json(v)?,
             // Additive v1 fields: documents emitted before the network
             // subsystem landed modeled the ideal interconnect.
@@ -654,6 +645,22 @@ mod tests {
             "host timing must not leak into the machine format"
         );
         assert!(text.contains("\"schedule\": \"seeded\""));
+
+        // No engine field is emitted; cells written while a threaded engine
+        // existed still parse, under either engine name, and any other
+        // engine value is a schema error.
+        assert!(!text.contains("\"engine\""));
+        let with_engine = |engine: &str| {
+            text.replace(
+                "\"schedule\": \"seeded\"",
+                &format!("\"engine\": \"{engine}\", \"schedule\": \"seeded\""),
+            )
+        };
+        for engine in ["threaded", "event"] {
+            assert_eq!(parse_result(&with_engine(engine)).unwrap(), parsed);
+        }
+        let err = parse_result(&with_engine("fibers")).unwrap_err();
+        assert!(err.contains("engine"), "{err}");
 
         let wrong = text.replace(RESULT_SCHEMA, "tm-bench/experiment-result/v0");
         assert!(parse_result(&wrong).unwrap_err().contains("schema"));

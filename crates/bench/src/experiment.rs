@@ -56,10 +56,10 @@ pub struct Cell {
     /// grid point are distinct cells, while every pre-existing multi-writer
     /// key (and every pinned golden) stays untouched.
     pub protocol: ProtocolMode,
-    /// Execution substrate the cell's simulation runs on (`--engine`).
-    /// Never part of the cell key or seed: engines are measurement-identical
-    /// by construction (the engine-differential tests pin this), so a cell's
-    /// identity — and every pinned golden — is engine-independent.
+    /// The execution engine — always the one there is.  Kept, outside the
+    /// cell key and seed, so code written against the former two-engine
+    /// API (such as the whole-system benchmark, which passes it on to
+    /// `AppConfig::engine`) still compiles.
     pub engine: EngineKind,
     /// Network (topology, aggregation) pair the cell models
     /// (`--topology`/`--aggregation`).  Part of the cell key (and therefore
@@ -72,14 +72,15 @@ pub struct Cell {
     /// (`--racecheck`).  Never part of the cell key or seed: detection is
     /// pure observation (measurements are bit-identical with it on or off),
     /// so a cell's identity — and every pinned golden — is
-    /// racecheck-independent, exactly like the engine axis.
+    /// racecheck-independent.
     pub racecheck: bool,
 }
 
 impl Cell {
     /// Build a cell for `w` under (`policy_label`, `unit`) on `nprocs`
     /// processors. `sched.seed` is the sweep's *base* seed, mixed into the
-    /// cell's FNV identity seed; `sched.mode` is adopted as-is.
+    /// cell's FNV identity seed; `sched.mode` is adopted as-is.  `engine`
+    /// can only be the one engine (see [`Cell::engine`]).
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         w: &Workload,
@@ -263,7 +264,7 @@ impl Experiment {
                             spec.sched,
                             args.diff_timing,
                             p.protocol,
-                            args.engine,
+                            EngineKind::default(),
                         )
                         .with_network(p.network)
                         .with_racecheck(args.racecheck),
@@ -294,7 +295,7 @@ impl Experiment {
                     args.sched(),
                     args.diff_timing,
                     args.protocol,
-                    args.engine,
+                    EngineKind::default(),
                 )
                 .with_network(args.network())
                 .with_racecheck(args.racecheck),
@@ -309,7 +310,7 @@ impl Experiment {
                         args.sched(),
                         args.diff_timing,
                         args.protocol,
-                        args.engine,
+                        EngineKind::default(),
                     )
                     .with_network(args.network())
                     .with_racecheck(args.racecheck),
@@ -347,7 +348,7 @@ impl Experiment {
                         args.sched(),
                         args.diff_timing,
                         args.protocol,
-                        args.engine,
+                        EngineKind::default(),
                     )
                     .with_network(args.network())
                     .with_racecheck(args.racecheck),
@@ -382,7 +383,7 @@ impl Experiment {
                     args.sched(),
                     args.diff_timing,
                     args.protocol,
-                    args.engine,
+                    EngineKind::default(),
                 )
                 .with_network(args.network())
                 .with_racecheck(args.racecheck),
@@ -401,7 +402,7 @@ impl Experiment {
                         spec.sched,
                         args.diff_timing,
                         p.protocol,
-                        args.engine,
+                        EngineKind::default(),
                     )
                     .with_network(p.network)
                     .with_racecheck(args.racecheck),
@@ -451,7 +452,7 @@ impl Experiment {
                         spec.sched,
                         args.diff_timing,
                         p.protocol,
-                        args.engine,
+                        EngineKind::default(),
                     )
                     .with_network(p.network)
                     .with_racecheck(args.racecheck),
@@ -499,7 +500,7 @@ impl Experiment {
                             args.sched(),
                             args.diff_timing,
                             protocol,
-                            args.engine,
+                            EngineKind::default(),
                         )
                         .with_network(args.network())
                         .with_racecheck(args.racecheck),

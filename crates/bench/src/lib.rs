@@ -43,7 +43,7 @@ use tdsm_core::{
     Topology, UnitPolicy,
 };
 use tm_apps::{paper_unit_policies, AppConfig, AppId, Workload};
-use tm_sched::{EngineKind, ScheduleMode};
+use tm_sched::ScheduleMode;
 
 /// The workload tier a sweep runs at (`--scale`, with `--tiny` kept as an
 /// alias for `--scale tiny`).
@@ -125,26 +125,12 @@ impl FigRow {
     }
 }
 
-/// Run one workload under one consistency-unit policy (on the default
-/// event-driven engine; see [`run_configuration_on`] to pick a substrate).
+/// Run one workload under one consistency-unit policy.
 pub fn run_configuration(w: &Workload, nprocs: usize, label: &str, unit: UnitPolicy) -> FigRow {
-    run_configuration_on(w, nprocs, label, unit, EngineKind::default())
+    run_configuration_net(w, nprocs, label, unit, NetworkConfig::default())
 }
 
-/// Run one workload under one consistency-unit policy on the given execution
-/// substrate.  Engines never change results — this is the lever the perf
-/// artifact and engine-differential tests use to time/compare both.
-pub fn run_configuration_on(
-    w: &Workload,
-    nprocs: usize,
-    label: &str,
-    unit: UnitPolicy,
-    engine: EngineKind,
-) -> FigRow {
-    run_configuration_net(w, nprocs, label, unit, engine, NetworkConfig::default())
-}
-
-/// [`run_configuration_on`] under an explicit modeled network.  Contended
+/// [`run_configuration`] under an explicit modeled network.  Contended
 /// topologies change the modeled execution time (occupancy and queueing),
 /// never the checksum or the message counts.
 pub fn run_configuration_net(
@@ -152,12 +138,10 @@ pub fn run_configuration_net(
     nprocs: usize,
     label: &str,
     unit: UnitPolicy,
-    engine: EngineKind,
     net: NetworkConfig,
 ) -> FigRow {
     let cfg = AppConfig::with_procs(nprocs)
         .unit(unit)
-        .engine(engine)
         .topology(net.topology)
         .aggregation(net.aggregation);
     let run = w.run_parallel(&cfg);
@@ -178,26 +162,16 @@ pub fn run_configuration_net(
 }
 
 /// Run one workload under all four of the paper's unit policies
-/// (4 K / 8 K / 16 K / Dyn) on the default engine.
+/// (4 K / 8 K / 16 K / Dyn).
 pub fn run_policy_sweep(w: &Workload, nprocs: usize) -> Vec<FigRow> {
-    run_policy_sweep_on(w, nprocs, EngineKind::default())
+    run_policy_sweep_net(w, nprocs, NetworkConfig::default())
 }
 
-/// [`run_policy_sweep`] on an explicit execution substrate.
-pub fn run_policy_sweep_on(w: &Workload, nprocs: usize, engine: EngineKind) -> Vec<FigRow> {
-    run_policy_sweep_net(w, nprocs, engine, NetworkConfig::default())
-}
-
-/// [`run_policy_sweep_on`] under an explicit modeled network.
-pub fn run_policy_sweep_net(
-    w: &Workload,
-    nprocs: usize,
-    engine: EngineKind,
-    net: NetworkConfig,
-) -> Vec<FigRow> {
+/// [`run_policy_sweep`] under an explicit modeled network.
+pub fn run_policy_sweep_net(w: &Workload, nprocs: usize, net: NetworkConfig) -> Vec<FigRow> {
     paper_unit_policies()
         .into_iter()
-        .map(|(label, unit)| run_configuration_net(w, nprocs, &label, unit, engine, net))
+        .map(|(label, unit)| run_configuration_net(w, nprocs, &label, unit, net))
         .collect()
 }
 
@@ -408,12 +382,6 @@ fn parse_seed(s: &str) -> Option<u64> {
 ///   `home-based` (single-writer with round-robin page homes) or
 ///   `home-based-first-touch`.  Protocols may differ in messages — that is
 ///   the point — but never in computed results or checksums.
-/// * `--engine` picks the execution substrate every cell's simulation runs
-///   on: `event` (the single-threaded discrete-event engine, the default) or
-///   `threaded` (one OS thread per simulated processor).  A host-performance
-///   knob only — results and statistics are bit-identical across engines —
-///   but `event` is what makes large clusters (hundreds of processors)
-///   practical.
 /// * `--topology` picks the modeled interconnect every cell runs on:
 ///   `ideal` (infinite bandwidth, the default — byte-identical to every
 ///   pre-topology document), `bus` (one shared 10 Mbps segment with hardware
@@ -432,7 +400,8 @@ fn parse_seed(s: &str) -> Option<u64> {
 ///   CSV).  Off by default — default documents stay byte-identical.
 /// * `--app NAME` restricts the run to one application (paper display name,
 ///   e.g. `Jacobi`) — the lever the CI memory gate uses to time a single
-///   `--scale large` cell.
+///   `--scale large` cell.  An application the experiment does not cover is
+///   a usage error (exit 2), not an empty document.
 /// * `--format` selects what is written to stdout (default: the human
 ///   report).
 /// * `--out FILE` additionally writes the machine-readable document to
@@ -454,8 +423,6 @@ pub struct BenchArgs {
     pub diff_timing: DiffTiming,
     /// Write protocol applied to every cell (`--protocol`).
     pub protocol: ProtocolMode,
-    /// Execution substrate applied to every cell (`--engine`).
-    pub engine: EngineKind,
     /// Modeled interconnect applied to every cell (`--topology`).
     pub topology: Topology,
     /// Wire-aggregation policy applied to every cell (`--aggregation`).
@@ -484,7 +451,6 @@ impl BenchArgs {
             schedule: ScheduleMode::Seeded,
             diff_timing: DiffTiming::default(),
             protocol: ProtocolMode::default(),
-            engine: EngineKind::default(),
             topology: Topology::default(),
             aggregation: AggregationPolicy::default(),
             racecheck: false,
@@ -521,7 +487,7 @@ impl BenchArgs {
                      [--threads N] [--seed N] [--schedule fifo|seeded] \
                      [--diff-timing eager|lazy] \
                      [--protocol multi-writer|home-based|home-based-first-touch] \
-                     [--engine threaded|event] [--topology ideal|bus|switched] \
+                     [--topology ideal|bus|switched] \
                      [--aggregation per-message|batched] [--racecheck] [--app NAME] \
                      [--format human|json|csv] [--out FILE]"
                 );
@@ -552,12 +518,6 @@ impl BenchArgs {
                 }
                 "--protocol" => {
                     out.protocol = flag_value("--protocol")?.parse()?;
-                }
-                "--engine" => {
-                    let v = flag_value("--engine")?;
-                    out.engine = v.parse().map_err(|_| {
-                        format!("unknown engine '{v}' (expected threaded or event)")
-                    })?;
                 }
                 "--topology" => {
                     out.topology = flag_value("--topology")?.parse()?;
@@ -624,8 +584,17 @@ impl BenchArgs {
     /// Run `exp` on the worker pool and emit the results as these options
     /// request: the `--format` rendering to stdout, plus a machine-readable
     /// copy to `--out` when given (the binaries' single driver entry point).
-    /// Returns the result for further inspection.
+    /// Returns the result for further inspection.  Exits with status 2 when
+    /// `--app` names an application the experiment does not cover.
     pub fn run_and_emit(&self, exp: &Experiment) -> std::io::Result<ExperimentResult> {
+        if let Some(app) = self.app.filter(|_| exp.cells.is_empty()) {
+            eprintln!(
+                "error: --app {} matches no cell of experiment '{}'",
+                app.name(),
+                exp.name
+            );
+            std::process::exit(2);
+        }
         let result = run_experiment(
             exp,
             &RunnerOptions {
@@ -769,16 +738,12 @@ mod tests {
         let err = |args: &[&str]| {
             BenchArgs::from_iter(args.iter().map(|s| s.to_string()), 8).unwrap_err()
         };
-        // --engine selects the execution substrate; event stays the default.
-        assert_eq!(parse(&[]).engine, EngineKind::EventDriven);
+        // There is one execution engine: --engine is no longer a flag.
         assert_eq!(
-            parse(&["--engine", "threaded"]).engine,
-            EngineKind::Threaded
+            err(&["--engine", "event"]),
+            "unrecognized argument '--engine'"
         );
-        assert_eq!(
-            parse(&["--engine", "event"]).engine,
-            EngineKind::EventDriven
-        );
+        assert_eq!(err(&["--engine"]), "unrecognized argument '--engine'");
 
         // --racecheck is a boolean switch, off by default.
         assert!(!parse(&[]).racecheck);
@@ -788,8 +753,6 @@ mod tests {
         assert!(err(&["--threads", "0"]).contains("expected 1-256"));
         assert!(err(&["--format", "xml"]).contains("unknown format"));
         assert!(err(&["--out"]).contains("requires a value"));
-        assert!(err(&["--engine"]).contains("requires a value"));
-        assert!(err(&["--engine", "fibers"]).contains("unknown engine"));
     }
 
     #[test]

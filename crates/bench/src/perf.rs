@@ -26,7 +26,7 @@ use std::time::Instant;
 
 use serde::json::Value;
 use serde::{field_arr, field_f64, field_str, field_u64, FromJson, JsonSchemaError, ToJson};
-use tdsm_core::{DiffTiming, EngineKind, NetworkConfig, SchedConfig, Topology, UnitPolicy};
+use tdsm_core::{DiffTiming, NetworkConfig, SchedConfig, Topology, UnitPolicy};
 use tm_apps::{jacobi, AppConfig, AppId, Workload};
 use tm_page::{Diff, LocalPage, PageId};
 
@@ -114,10 +114,6 @@ pub struct PerfOptions {
     /// identifiers differ from full mode, so a quick report never silently
     /// gates against a full baseline.
     pub quick: bool,
-    /// Execution substrate the simulator workloads run on (`--engine`).
-    /// Digests are engine-independent by construction; only the timings may
-    /// shift, which is exactly what the artifact is for.
-    pub engine: EngineKind,
     /// Modeled interconnect the simulator workloads run on (`--topology`).
     /// The checked-in artifact uses the ideal default; a contended topology
     /// changes the sweep's modeled `exec_time_ns` (a deterministic digest),
@@ -132,7 +128,6 @@ impl PerfOptions {
         PerfOptions {
             iters: 9,
             quick: false,
-            engine: EngineKind::default(),
             topology: Topology::default(),
         }
     }
@@ -142,7 +137,6 @@ impl PerfOptions {
         PerfOptions {
             iters: 3,
             quick: true,
-            engine: EngineKind::default(),
             topology: Topology::default(),
         }
     }
@@ -260,7 +254,6 @@ fn collect_micro(opts: &PerfOptions) -> Vec<MicroSample> {
     let cfg = AppConfig::with_procs(4)
         .sched(sched)
         .diff_timing(DiffTiming::Lazy)
-        .engine(opts.engine)
         .topology(opts.topology);
     push(
         jacobi_id,
@@ -289,7 +282,6 @@ fn collect_micro(opts: &PerfOptions) -> Vec<MicroSample> {
                 cost: CostModel::pentium_ethernet_1997(),
                 max_locks: 16,
                 sched: SchedConfig::default(),
-                engine: opts.engine,
                 topology: opts.topology,
                 ..DsmConfig::paper_default()
             });
@@ -321,7 +313,7 @@ fn collect_sweep(opts: &PerfOptions) -> SweepSample {
     };
     let t0 = Instant::now();
     let net = NetworkConfig::new(opts.topology, Default::default());
-    let rows = run_policy_sweep_net(&w, nprocs, opts.engine, net);
+    let rows = run_policy_sweep_net(&w, nprocs, net);
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     SweepSample {
         id: format!("fig2/Jacobi/{scale}/{nprocs}procs"),
@@ -630,21 +622,6 @@ mod tests {
             b.to_json().pretty(),
             "digests and identifiers must reproduce bit-identically"
         );
-    }
-
-    #[test]
-    fn digests_are_engine_independent() {
-        // The same artifact measured on the threaded substrate must carry
-        // identical digests — `--engine` may shift timings, never outputs.
-        let mut event = quick_report();
-        let mut threaded = collect_report(&PerfOptions {
-            iters: 1,
-            engine: EngineKind::Threaded,
-            ..PerfOptions::quick()
-        });
-        strip_timings(&mut event);
-        strip_timings(&mut threaded);
-        assert_eq!(event.to_json().pretty(), threaded.to_json().pretty());
     }
 
     #[test]

@@ -195,14 +195,9 @@ pub struct SweepSpec {
     /// tie-break mode, and the *base* seed the harness mixes into each
     /// cell's identity seed.
     pub sched: SchedConfig,
-    /// Execution substrate every point runs on (the event-driven engine by
-    /// default; results are bit-identical across engines, so this is a
-    /// host-performance knob, not an experimental axis).
-    pub engine: EngineKind,
     /// Run every point under the happens-before race detector (off by
     /// default).  Detection is pure observation — it cannot change any
-    /// measured quantity — so, like `engine`, this is not an experimental
-    /// axis; it only adds `races` reports to the emitted documents.
+    /// measured quantity — so this is not an experimental axis; it only adds `races` reports to the emitted documents.
     pub racecheck: bool,
 }
 
@@ -222,7 +217,6 @@ impl SweepSpec {
             networks: vec![NetworkConfig::default()],
             page_size: 4096,
             sched: SchedConfig::default(),
-            engine: EngineKind::default(),
             racecheck: false,
         }
     }
@@ -240,7 +234,6 @@ impl SweepSpec {
             networks: vec![NetworkConfig::default()],
             page_size: 4096,
             sched: SchedConfig::default(),
-            engine: EngineKind::default(),
             racecheck: false,
         }
     }
@@ -254,7 +247,6 @@ impl SweepSpec {
             networks: vec![NetworkConfig::default()],
             page_size: 4096,
             sched: SchedConfig::default(),
-            engine: EngineKind::default(),
             racecheck: false,
         }
     }
@@ -268,12 +260,6 @@ impl SweepSpec {
     /// Builder-style setter for the protocol axis.
     pub fn with_protocols(mut self, protocols: Vec<ProtocolMode>) -> Self {
         self.protocols = protocols;
-        self
-    }
-
-    /// Builder-style setter for the execution engine.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -379,11 +365,13 @@ pub fn sched_from_json(v: &Value) -> Result<SchedConfig, JsonSchemaError> {
     Ok(SchedConfig { mode, seed })
 }
 
-/// Parse an optional `"engine"` field from a JSON object: absent means the
-/// default (event-driven) engine, matching the emit-only-when-non-default
-/// convention that keeps default-engine documents byte-identical to the ones
-/// produced before the engine seam existed.  (Free function for the same
-/// reason as [`sched_to_json`]: `EngineKind` is foreign to this crate.)
+/// Parse the optional legacy `"engine"` field of a JSON object.  Documents
+/// written while a second, threaded engine existed may carry
+/// `"engine": "threaded"` (the default engine was never emitted); both names
+/// map to the one engine, since the two produced bit-identical results.
+/// Any other value is still a schema error at path `engine`.  (Free
+/// function for the same reason as [`sched_to_json`]: `EngineKind` is
+/// foreign to this crate.)
 pub fn engine_from_json(v: &Value) -> Result<EngineKind, JsonSchemaError> {
     match v.get("engine") {
         None => Ok(EngineKind::default()),
@@ -412,13 +400,8 @@ impl ToJson for SweepSpec {
             ("page_size", Value::Num(self.page_size as f64)),
             ("sched", sched_to_json(&self.sched)),
         ];
-        // Additive field, emitted only for the non-default engine so that
-        // default-engine documents stay byte-identical to pre-seam ones.
-        if self.engine != EngineKind::default() {
-            fields.push(("engine", Value::Str(self.engine.as_str().to_string())));
-        }
-        // Same discipline for the network axis: the ideal/per-message default
-        // is omitted so pre-topology documents stay byte-identical.
+        // Additive field: the ideal/per-message default network axis is
+        // omitted so pre-topology documents stay byte-identical.
         if self.networks != vec![NetworkConfig::default()] {
             fields.push((
                 "networks",
@@ -484,6 +467,8 @@ impl FromJson for SweepSpec {
                 out
             }
         };
+        // Legacy field: validated, but there is only one engine to select.
+        engine_from_json(v)?;
         Ok(SweepSpec {
             procs,
             units,
@@ -496,8 +481,6 @@ impl FromJson for SweepSpec {
                 Some(s) => sched_from_json(s).map_err(|e| e.in_context("sched"))?,
                 None => SchedConfig::default(),
             },
-            // Additive field: absent means the default engine.
-            engine: engine_from_json(v)?,
             // Additive field: absent means race detection off.
             racecheck: match v.get("racecheck") {
                 None => false,
@@ -515,7 +498,7 @@ pub const DEFAULT_GC_FLUSH_PENDING_LIMIT: usize = 16_384;
 /// Complete configuration of a DSM cluster.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DsmConfig {
-    /// Number of processors (threads standing in for cluster nodes).
+    /// Number of simulated processors (cluster nodes).
     pub nprocs: usize,
     /// Hardware page size in bytes (4096 on the paper's platform).
     pub page_size: usize,
@@ -551,14 +534,6 @@ pub struct DsmConfig {
     /// messages, so runs below the threshold are bit-identical to runs with
     /// the flush disabled.
     pub gc_flush_pending_limit: usize,
-    /// Execution substrate [`crate::Dsm::run`] drives the simulated
-    /// processors on: one OS thread per processor parked on the scheduler
-    /// ([`EngineKind::Threaded`]), or a single-threaded discrete-event loop
-    /// resuming processor continuations in scheduler pick order
-    /// ([`EngineKind::EventDriven`], the default).  Results are bit-identical
-    /// across engines; only host-side cost differs, which is what makes
-    /// processor counts far beyond the paper's 32 practical.
-    pub engine: EngineKind,
     /// Network topology the run models ([`Topology::Ideal`] by default —
     /// the calibrated infinite-bandwidth model every golden document is
     /// pinned against).  Contended topologies track per-link occupancy and
@@ -593,7 +568,6 @@ impl DsmConfig {
             sched: SchedConfig::default(),
             diff_timing: DiffTiming::default(),
             gc_flush_pending_limit: DEFAULT_GC_FLUSH_PENDING_LIMIT,
-            engine: EngineKind::default(),
             topology: Topology::default(),
             aggregation: AggregationPolicy::default(),
             racecheck: false,
@@ -654,12 +628,6 @@ impl DsmConfig {
     /// Builder-style setter for the GC validation-flush trigger.
     pub fn gc_flush_pending_limit(mut self, limit: usize) -> Self {
         self.gc_flush_pending_limit = limit;
-        self
-    }
-
-    /// Builder-style setter for the execution engine.
-    pub fn engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -795,7 +763,6 @@ mod tests {
             networks: vec![NetworkConfig::default()],
             page_size: 4096,
             sched: SchedConfig::default(),
-            engine: EngineKind::default(),
             racecheck: false,
         };
         assert_eq!(multi.points().len(), 2);
@@ -832,23 +799,22 @@ mod tests {
                 mode: ScheduleMode::Fifo,
                 seed: 0xdead_beef,
             },
-            engine: EngineKind::Threaded,
             racecheck: true,
         };
-        let parsed =
-            SweepSpec::from_json(&serde::json::parse(&spec.to_json().pretty()).unwrap()).unwrap();
+        let emitted = spec.to_json().pretty();
+        assert!(!emitted.contains("engine"), "no engine field is emitted");
+        let parsed = SweepSpec::from_json(&serde::json::parse(&emitted).unwrap()).unwrap();
         assert_eq!(parsed, spec);
-        // The default engine is omitted on emit and restored on parse.
-        let default_engine = SweepSpec {
-            engine: EngineKind::default(),
-            ..spec.clone()
-        };
-        let emitted = default_engine.to_json().pretty();
-        assert!(!emitted.contains("engine"));
-        assert_eq!(
-            SweepSpec::from_json(&serde::json::parse(&emitted).unwrap()).unwrap(),
-            default_engine
-        );
+        // Documents that still carry the legacy engine field parse, under
+        // either former engine name, to the same spec.
+        for engine in ["threaded", "event"] {
+            let legacy = emitted.replacen('{', &format!("{{\"engine\":\"{engine}\","), 1);
+            assert_eq!(
+                SweepSpec::from_json(&serde::json::parse(&legacy).unwrap()).unwrap(),
+                spec,
+                "legacy engine {engine}"
+            );
+        }
         let bad_engine = serde::json::parse(
             r#"{"procs":[1],"units":[{"kind":"static","pages":1}],"page_size":4096,
                 "engine":"fibers"}"#,
@@ -858,7 +824,7 @@ mod tests {
         assert_eq!(err.path, "engine");
 
         // The default (ideal, per-message) network axis is omitted on emit
-        // and restored on parse, like the default engine.
+        // and restored on parse.
         let default_net = SweepSpec {
             networks: vec![NetworkConfig::default()],
             ..spec.clone()
@@ -945,15 +911,7 @@ mod tests {
     #[test]
     fn large_clusters_validate_up_to_1024() {
         DsmConfig::with_procs(1024).validate();
-        assert_eq!(
-            DsmConfig::paper_default()
-                .engine(EngineKind::Threaded)
-                .engine,
-            EngineKind::Threaded
-        );
-        let spec = SweepSpec::paper_units(256);
-        spec.validate();
-        assert_eq!(spec.engine, EngineKind::EventDriven);
+        SweepSpec::paper_units(256).validate();
     }
 
     #[test]

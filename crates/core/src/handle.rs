@@ -115,7 +115,7 @@ impl<T: SharedVal> GArray<T> {
     /// buffer, so a hot loop performs no per-call allocation.
     ///
     /// The byte staging buffer lives on the context (not in a thread-local):
-    /// under the event-driven engine every simulated processor shares one
+    /// every simulated processor shares one
     /// host thread, and the context buffer is per-processor by construction.
     pub async fn read_into(&self, ctx: &mut ProcCtx, start: usize, count: usize, out: &mut Vec<T>) {
         assert!(start + count <= self.len, "range out of bounds");

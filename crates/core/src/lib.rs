@@ -59,7 +59,7 @@ pub mod sync;
 pub mod vc;
 
 pub use aggregation::DynamicAggregator;
-pub use cluster::{Dsm, RunOutput};
+pub use cluster::{record_decision_traces, DecisionTrace, Dsm, RunOutput};
 pub use config::{
     engine_from_json, sched_from_json, sched_to_json, DiffTiming, DsmConfig, SweepPoint, SweepSpec,
     UnitPolicy,

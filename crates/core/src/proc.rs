@@ -21,22 +21,21 @@ use std::collections::BTreeMap;
 
 use crate::fasthash::{FastHashMap, FastHashSet};
 
+use std::rc::Rc;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use tm_net::{
-    AggregationPolicy, CostModel, DiffExchange, FaultRecord, LogicalClock, MsgKind, NetworkState,
-    ProcId, ProcStats, ResponderCost, MSG_HEADER_BYTES,
+    AggregationPolicy, CostModel, DiffExchange, FaultRecord, LogicalClock, MsgKind, ProcId,
+    ProcStats, ResponderCost, MSG_HEADER_BYTES,
 };
 use tm_page::{subtract_cover, Diff, GlobalAddr, PageId, PageLayout, PageStore, WORD_SIZE};
-use tm_race::{AccessKind, RaceDetector};
+use tm_race::AccessKind;
 
 use crate::aggregation::DynamicAggregator;
+use crate::cluster::World;
 use crate::config::{DiffTiming, DsmConfig, UnitPolicy};
-use crate::interval::{IntervalId, IntervalLog, IntervalRecord, NOTICE_WIRE_BYTES};
-use crate::protocol::{HomeDirectory, ProtocolMode};
-use crate::sync::GlobalSync;
+use crate::interval::{IntervalId, IntervalRecord, NOTICE_WIRE_BYTES};
+use crate::protocol::ProtocolMode;
 use crate::vc::VectorClock;
 
 /// Per-page protocol metadata kept privately by each processor.
@@ -51,17 +50,12 @@ struct PageMeta {
     /// Home-based protocol: locally cached home of the page.  Assignment is
     /// sticky for the whole run, so a cached value never goes stale; the
     /// cache keeps the per-write write-through check off the shared
-    /// directory mutex.
+    /// directory.
     home: Option<u32>,
     /// Write notices received but whose diffs have not been applied yet:
     /// `(writer, interval seq)`.
     pending: Vec<(u32, u32)>,
 }
-
-/// Shared, per-processor protocol state that *other* processors consult when
-/// they fault (the diff/interval store served by the SIGIO handler on the
-/// real system).
-pub type SharedIntervalLog = Mutex<IntervalLog>;
 
 /// What one round of pending-diff exchanges produced (see
 /// [`ProcCtx::exchange_pending`]).
@@ -92,28 +86,20 @@ pub struct ProcCtx {
     vc: VectorClock,
     clock: LogicalClock,
     stats: ProcStats,
-    logs: Arc<Vec<SharedIntervalLog>>,
-    sync: Arc<GlobalSync>,
+    /// The state shared with the other processors of the run: interval
+    /// logs (the diff/interval store served by the SIGIO handler on the
+    /// real system), synchronization, and — when configured — the home
+    /// directory, link occupancy and the race detector.  The race detector
+    /// is pure observation: consulted on every shared access but never fed
+    /// back into the protocol.
+    world: Rc<World>,
     agg: Option<DynamicAggregator>,
     diff_timing: DiffTiming,
     protocol: ProtocolMode,
-    /// Cluster-wide home assignment and master copies; present exactly when
-    /// `protocol` is home-based.
-    home: Option<Arc<Mutex<HomeDirectory>>>,
-    /// Cluster-wide link-occupancy state; present exactly when the
-    /// configured topology models contention (never under
-    /// [`tm_net::Topology::Ideal`], which keeps the default bit-identical
-    /// to the pre-topology simulator).
-    net: Option<Arc<Mutex<NetworkState>>>,
     /// How an interval close's home flushes are packed onto the wire.
-    /// Only consulted when `net` is present: without occupancy modeling
+    /// Only consulted when the world models link occupancy: without it
     /// batching would change nothing observable.
     aggregation: AggregationPolicy,
-    /// Cluster-wide happens-before race detector; present exactly when
-    /// `DsmConfig::racecheck` is on.  Pure observation: consulted on every
-    /// shared access but never fed back into the protocol, so the default
-    /// (absent) runs are bit-identical to pre-detector ones.
-    race: Option<Arc<Mutex<RaceDetector>>>,
     /// Depth of nested [`ProcCtx::begin_benign_race`] scopes.  While
     /// positive, shared accesses are invisible to the race detector — the
     /// annotation for *documented* intentional races (TSP's unsynchronized
@@ -136,8 +122,8 @@ pub struct ProcCtx {
     pending_floor: Vec<u32>,
     notices_since_barrier: u64,
     /// Reusable staging buffer for `(seq, page)` write notices copied out of
-    /// a writer's log under its lock; avoids cloning each record's page list
-    /// on every incorporation.
+    /// a writer's log while it is borrowed; avoids cloning each record's
+    /// page list on every incorporation.
     notice_scratch: Vec<(u32, PageId)>,
     /// Reusable `(page, diff)` staging vector for interval publication; the
     /// log drains it in place so its capacity survives across closes.
@@ -147,41 +133,21 @@ pub struct ProcCtx {
     home_diff_buf: (Vec<tm_page::RunSpan>, Vec<u8>),
     /// Reusable byte staging buffer for the typed accessors in `handle.rs`.
     /// Lives on the context (taken/restored around each access) rather than
-    /// in a thread-local: under the event-driven engine every simulated
-    /// processor shares one host thread, so a thread-local scratch would be
-    /// re-entered across suspension points.
+    /// in a thread-local: every simulated processor shares one host thread,
+    /// so a thread-local scratch would be re-entered across suspension
+    /// points.
     byte_scratch: Vec<u8>,
     marked_end_ns: Option<u64>,
 }
 
 impl ProcCtx {
     /// Build the context for processor `rank` of a cluster run.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         rank: usize,
         config: &DsmConfig,
         layout: PageLayout,
-        logs: Arc<Vec<SharedIntervalLog>>,
-        sync: Arc<GlobalSync>,
-        home: Option<Arc<Mutex<HomeDirectory>>>,
-        net: Option<Arc<Mutex<NetworkState>>>,
-        race: Option<Arc<Mutex<RaceDetector>>>,
+        world: Rc<World>,
     ) -> Self {
-        debug_assert_eq!(
-            home.is_some(),
-            config.protocol.is_home_based(),
-            "home directory must be present exactly for home-based runs"
-        );
-        debug_assert_eq!(
-            net.is_some(),
-            config.topology.is_contended(),
-            "network state must be present exactly for contended topologies"
-        );
-        debug_assert_eq!(
-            race.is_some(),
-            config.racecheck,
-            "race detector must be present exactly for racecheck runs"
-        );
         let agg = match config.unit {
             UnitPolicy::Dynamic { max_group_pages } => {
                 Some(DynamicAggregator::new(max_group_pages))
@@ -200,15 +166,11 @@ impl ProcCtx {
             vc: VectorClock::zero(config.nprocs),
             clock: LogicalClock::zero(),
             stats: ProcStats::new(ProcId(rank as u32)),
-            logs,
-            sync,
+            world,
             agg,
             diff_timing: config.diff_timing,
             protocol: config.protocol,
-            home,
-            net,
             aggregation: config.aggregation,
-            race,
             benign_race_depth: 0,
             gc_flush_pending_limit: config.gc_flush_pending_limit,
             pending_seqs: vec![BTreeMap::new(); config.nprocs],
@@ -303,7 +265,7 @@ impl ProcCtx {
     pub async fn read_bytes(&mut self, addr: GlobalAddr, dst: &mut [u8]) {
         self.charge_access(dst.len());
         self.ensure_valid_range(addr, dst.len() as u64, false).await;
-        if self.race.is_some() {
+        if self.world.race.is_some() {
             self.note_access(addr, dst.len(), AccessKind::Read);
         }
         let ProcCtx { store, stats, .. } = self;
@@ -318,7 +280,7 @@ impl ProcCtx {
     pub async fn write_bytes(&mut self, addr: GlobalAddr, src: &[u8]) {
         self.charge_access(src.len());
         self.ensure_valid_range(addr, src.len() as u64, true).await;
-        if self.race.is_some() {
+        if self.world.race.is_some() {
             self.note_access(addr, src.len(), AccessKind::Write);
         }
         self.store.write(addr, src);
@@ -342,8 +304,8 @@ impl ProcCtx {
         if self.benign_race_depth > 0 {
             return;
         }
-        let Some(race) = &self.race else { return };
-        let mut det = race.lock();
+        let Some(race) = &self.world.race else { return };
+        let mut det = race.borrow_mut();
         let mut remaining = len;
         let mut cursor = addr;
         while remaining > 0 {
@@ -393,10 +355,9 @@ impl ProcCtx {
     ///
     /// This sits on the simulator's hottest path (every shared write), so
     /// it runs off the per-page home cache that write detection just filled
-    /// and takes the directory lock only when a segment actually lands in
-    /// the master copy.
+    /// and borrows the directory only when a segment actually lands in the
+    /// master copy.
     fn write_through_home(&mut self, addr: GlobalAddr, src: &[u8]) {
-        let home = Arc::clone(self.home.as_ref().expect("home-based run has a directory"));
         let mut dir = None;
         let mut remaining = src;
         let mut cursor = addr;
@@ -408,7 +369,7 @@ impl ProcCtx {
                 .home
                 .expect("write detection caches the home before any write lands");
             if page_home == self.rank.0 {
-                dir.get_or_insert_with(|| home.lock())
+                dir.get_or_insert_with(|| self.world.home())
                     .store_mut()
                     .write_through(page, off, &remaining[..take]);
             }
@@ -462,12 +423,7 @@ impl ProcCtx {
         if let Some(h) = self.meta[page.index()].home {
             return h;
         }
-        let h = self
-            .home
-            .as_ref()
-            .expect("home-based run has a directory")
-            .lock()
-            .home_of(page, self.rank.0);
+        let h = self.world.home().home_of(page, self.rank.0);
         self.meta[page.index()].home = Some(h);
         h
     }
@@ -485,7 +441,8 @@ impl ProcCtx {
         // scheduler so a processor with an earlier logical clock runs first.
         // What this fault fetches is fixed by our own pending-notice state,
         // so the yield affects ordering only, never the fetched contents.
-        self.sync
+        self.world
+            .sync
             .yield_turn(self.rank.index(), self.clock.now_ns())
             .await;
 
@@ -545,8 +502,8 @@ impl ProcCtx {
     /// state, so they queue behind concurrent traffic; under the ideal
     /// default this is exactly the calibrated cost model.
     fn fetch_stall(&self, outcome: &PendingExchangeOutcome) -> u64 {
-        if let Some(net) = &self.net {
-            let mut net = net.lock();
+        if let Some(net) = &self.world.net {
+            let mut net = net.borrow_mut();
             let now = self.clock.now_ns();
             return match self.protocol {
                 ProtocolMode::MultiWriter => self.cost.fault_stall_served_on(
@@ -618,7 +575,7 @@ impl ProcCtx {
             let mut diffs_carried = 0u32;
             let mut pages_requested: Vec<PageId> = Vec::new();
             {
-                let mut log = self.logs[*writer as usize].lock();
+                let mut log = self.world.logs[*writer as usize].borrow_mut();
                 // `wants` lists each page's pending seqs as one consecutive
                 // ascending block (it is built page by page, notices arrive
                 // in interval order), so each block is one fetch chain.
@@ -803,8 +760,8 @@ impl ProcCtx {
     /// the exchange, so the useful/useless classifier sees the whole page —
     /// the false-sharing exposure the single-writer organization pays for.
     fn fetch_from_homes(&mut self, fetch_pages: &[PageId]) -> PendingExchangeOutcome {
-        let home = Arc::clone(self.home.as_ref().expect("home-based run has a directory"));
-        let mut dir = home.lock();
+        let world = Rc::clone(&self.world);
+        let mut dir = world.home();
 
         // Only pages with pending notices are stale; the others are validated
         // without traffic, exactly as in the multi-writer protocol.
@@ -896,7 +853,8 @@ impl ProcCtx {
         if pages.is_empty() {
             return;
         }
-        self.sync
+        self.world
+            .sync
             .yield_turn(self.rank.index(), self.clock.now_ns())
             .await;
         // Fetch through the protocol's own service path: per-writer diff
@@ -944,7 +902,7 @@ impl ProcCtx {
         // list + clock allocation) and the span/payload buffers of retired
         // diffs, all from this processor's own log.
         let (mut record, mut pool) = {
-            let mut log = self.logs[self.rank.index()].lock();
+            let mut log = self.world.logs[self.rank.index()].borrow_mut();
             (log.take_retired_record(), log.take_buffer_pool())
         };
         let mut record = record.take().unwrap_or_else(|| IntervalRecord {
@@ -993,8 +951,8 @@ impl ProcCtx {
         }
         dirty.clear();
         self.dirty_pages = dirty;
-        self.logs[self.rank.index()]
-            .lock()
+        self.world.logs[self.rank.index()]
+            .borrow_mut()
             .restore_buffer_pool(pool);
         self.publish_interval(record, &mut diffs);
         self.diff_scratch = diffs;
@@ -1024,8 +982,8 @@ impl ProcCtx {
         record.vc.copy_from(&self.vc);
         self.notices_since_barrier += record.pages.len() as u64;
         self.stats.intervals_closed += 1;
-        self.logs[self.rank.index()]
-            .lock()
+        self.world.logs[self.rank.index()]
+            .borrow_mut()
             .publish_drain(record, diffs, self.diff_timing);
     }
 
@@ -1043,8 +1001,8 @@ impl ProcCtx {
     /// inherently eager (the flush happens at close, on the writer).
     fn close_interval_home(&mut self) {
         let page_size = self.layout.page_size() as u64;
-        let mut record = self.logs[self.rank.index()]
-            .lock()
+        let mut record = self.world.logs[self.rank.index()]
+            .borrow_mut()
             .take_retired_record()
             .unwrap_or_else(|| IntervalRecord {
                 id: IntervalId {
@@ -1057,8 +1015,8 @@ impl ProcCtx {
         debug_assert!(record.pages.is_empty(), "pooled record shells are clear");
         // Per home contacted: total diff wire bytes of this flush.
         let mut flushes: BTreeMap<u32, u64> = BTreeMap::new();
-        let home = Arc::clone(self.home.as_ref().expect("home-based run has a directory"));
-        let mut dir = home.lock();
+        let world = Rc::clone(&self.world);
+        let mut dir = world.home();
         let mut dirty = std::mem::take(&mut self.dirty_pages);
         for &page in &dirty {
             self.meta[page.index()].dirty = false;
@@ -1108,7 +1066,7 @@ impl ProcCtx {
             self.stats.record_control(MsgKind::HomeUpdate, wire_bytes);
             self.stats.home_updates += 1;
         }
-        match &self.net {
+        match &self.world.net {
             None => {
                 for &wire_bytes in flushes.values() {
                     self.clock
@@ -1116,7 +1074,7 @@ impl ProcCtx {
                 }
             }
             Some(net) => {
-                let mut net = net.lock();
+                let mut net = net.borrow_mut();
                 if self.aggregation.is_batched() {
                     // The whole interval's flushes as one wire message: one
                     // broadcast on the bus, a replicated copy per home on
@@ -1162,12 +1120,12 @@ impl ProcCtx {
         }
         let mut incorporated = 0u64;
         // Stage the notices through a reusable flat buffer: the page lists
-        // must be copied out (the writer's log lock cannot be held while we
+        // must be copied out (the writer's log cannot stay borrowed while we
         // mutate our own state below), but not one Vec clone per record.
         let mut scratch = std::mem::take(&mut self.notice_scratch);
         scratch.clear();
         {
-            let log = self.logs[writer].lock();
+            let log = self.world.logs[writer].borrow();
             for r in log.records_between(already, up_to) {
                 scratch.extend(r.pages.iter().map(|&p| (r.id.seq, p)));
             }
@@ -1226,6 +1184,7 @@ impl ProcCtx {
 
         let stall_start = self.clock.now_ns();
         let grant = self
+            .world
             .sync
             .acquire_lock(lock_id, self.rank.index(), stall_start)
             .await;
@@ -1247,8 +1206,8 @@ impl ProcCtx {
             notices += self.incorporate_notices_from(q, grant.vc.get(q));
         }
         self.vc.merge(&grant.vc);
-        if let Some(race) = &self.race {
-            race.lock().on_acquire(self.rank.0, lock_id);
+        if let Some(race) = &self.world.race {
+            race.borrow_mut().on_acquire(self.rank.0, lock_id);
         }
 
         // Message accounting: request → statically assigned manager, forward
@@ -1289,12 +1248,13 @@ impl ProcCtx {
     pub async fn release(&mut self, lock_id: usize) {
         self.close_interval();
         self.resync_aggregator();
-        if let Some(race) = &self.race {
+        if let Some(race) = &self.world.race {
             // Before the lock becomes grantable: the next acquirer's hook
             // must find this critical section's closed sync interval.
-            race.lock().on_release(self.rank.0, lock_id);
+            race.borrow_mut().on_release(self.rank.0, lock_id);
         }
-        self.sync
+        self.world
+            .sync
             .release_lock(
                 lock_id,
                 self.rank.index(),
@@ -1349,10 +1309,11 @@ impl ProcCtx {
         );
 
         let my_published = self.vc.get(self.rank.index());
-        if let Some(race) = &self.race {
-            race.lock().on_barrier_arrive(self.rank.0);
+        if let Some(race) = &self.world.race {
+            race.borrow_mut().on_barrier_arrive(self.rank.0);
         }
         let epoch = self
+            .world
             .sync
             .barrier_arrive(
                 self.rank.index(),
@@ -1364,8 +1325,8 @@ impl ProcCtx {
             .await;
         self.pending_floor = pending_floor;
         self.clock.wait_until(epoch.depart_clock_ns);
-        if let Some(race) = &self.race {
-            race.lock().on_barrier_depart(self.rank.0);
+        if let Some(race) = &self.world.race {
+            race.borrow_mut().on_barrier_depart(self.rank.0);
         }
 
         let mut notices = 0u64;
@@ -1380,7 +1341,9 @@ impl ProcCtx {
         // time.
         let watermark = epoch.retire_below[self.rank.index()];
         if watermark > 0 {
-            self.logs[self.rank.index()].lock().retire_up_to(watermark);
+            self.world.logs[self.rank.index()]
+                .borrow_mut()
+                .retire_up_to(watermark);
         }
 
         if self.rank.0 != 0 {

@@ -2,23 +2,22 @@
 //!
 //! TreadMarks provides exactly two synchronization primitives — locks and
 //! barriers — and lazy release consistency piggybacks its write notices on
-//! them.  Since the deterministic scheduling rework, the *blocking*
-//! behaviour no longer races on OS primitives: every lock and barrier is a
-//! plain state machine, and waiting is delegated to the cluster's
-//! [`tm_sched::Scheduler`], which serializes the simulated processors under
-//! cooperative turn-taking ordered by `(logical clock, tie-break)`.  Who
-//! acquires a contended lock next is therefore a pure function of the run's
-//! configuration and seed, never of host thread scheduling.  The
+//! them.  Every lock and barrier is a plain state machine, and waiting is
+//! delegated to the cluster's [`tm_sched::Scheduler`], which serializes the
+//! simulated processors under cooperative turn-taking ordered by `(logical
+//! clock, tie-break)`: a processor that must wait parks on a [`TurnWait`]
+//! future until the engine resumes it.  Who acquires a contended lock next
+//! is therefore a pure function of the run's configuration and seed.  The
 //! *consistency information* (vector clock of the last release) and the
 //! *modeled time* of each operation travel alongside, unchanged.
 
+use std::cell::RefCell;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::Arc;
-use std::task::{Context, Poll, Waker};
+use std::rc::Rc;
+use std::task::{Context, Poll};
 
-use parking_lot::Mutex;
-use tm_sched::{EngineKind, SchedConfig, Scheduler, WaitKey};
+use tm_sched::{SchedConfig, Scheduler, WaitKey};
 
 use crate::vc::VectorClock;
 
@@ -50,14 +49,14 @@ struct LockInner {
 /// caller on the scheduler until a release wakes it.
 #[derive(Debug)]
 pub struct GlobalLock {
-    inner: Mutex<LockInner>,
+    inner: RefCell<LockInner>,
 }
 
 impl GlobalLock {
     /// Create a free lock for a cluster of `nprocs` processors.
     pub fn new(nprocs: usize) -> Self {
         GlobalLock {
-            inner: Mutex::new(LockInner {
+            inner: RefCell::new(LockInner {
                 held: false,
                 last: LockRelease {
                     releaser: None,
@@ -72,7 +71,7 @@ impl GlobalLock {
     /// Take the lock if it is free, returning the snapshot of the last
     /// release (the grant's consistency payload); `None` if it is held.
     pub fn try_acquire(&self) -> Option<LockRelease> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         if inner.held {
             return None;
         }
@@ -84,7 +83,7 @@ impl GlobalLock {
     /// Release the lock, publishing the releaser's identity, vector time and
     /// modeled release time for the next acquirer.
     pub fn release(&self, releaser: u32, vc: VectorClock, clock_ns: u64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         debug_assert!(inner.held, "release of a lock that is not held");
         inner.held = false;
         inner.last = LockRelease {
@@ -96,7 +95,7 @@ impl GlobalLock {
 
     /// Number of times the lock has been acquired (statistics/tests).
     pub fn acquisitions(&self) -> u64 {
-        self.inner.lock().acquisitions
+        self.inner.borrow().acquisitions
     }
 }
 
@@ -159,7 +158,7 @@ struct BarrierInner {
     /// Elementwise minimum, over this episode's arrivers so far, of each
     /// arriver's smallest pending notice sequence number per writer.
     pending_floor: Vec<u32>,
-    epoch: Arc<BarrierEpoch>,
+    epoch: Rc<BarrierEpoch>,
 }
 
 /// Outcome of recording one barrier arrival.
@@ -168,7 +167,7 @@ enum Arrival {
     /// the given generation.
     Sealed {
         generation: u64,
-        epoch: Arc<BarrierEpoch>,
+        epoch: Rc<BarrierEpoch>,
     },
     /// More arrivals pending: park on the given generation.
     Wait { generation: u64 },
@@ -182,7 +181,7 @@ enum Arrival {
 /// plus the calibrated barrier latency.
 #[derive(Debug)]
 pub struct CentralBarrier {
-    inner: Mutex<BarrierInner>,
+    inner: RefCell<BarrierInner>,
     nprocs: usize,
 }
 
@@ -190,14 +189,14 @@ impl CentralBarrier {
     /// Create a barrier for `nprocs` processors.
     pub fn new(nprocs: usize) -> Self {
         CentralBarrier {
-            inner: Mutex::new(BarrierInner {
+            inner: RefCell::new(BarrierInner {
                 generation: 0,
                 arrived: 0,
                 max_clock_ns: 0,
                 lens: vec![0; nprocs],
                 prev_published: vec![0; nprocs],
                 pending_floor: vec![u32::MAX; nprocs],
-                epoch: Arc::new(BarrierEpoch {
+                epoch: Rc::new(BarrierEpoch {
                     depart_clock_ns: 0,
                     published_intervals: vec![0; nprocs],
                     retire_below: vec![0; nprocs],
@@ -225,7 +224,7 @@ impl CentralBarrier {
         my_published_intervals: u32,
         my_pending_floor: &[u32],
     ) -> Arrival {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         let generation = inner.generation;
         inner.max_clock_ns = inner.max_clock_ns.max(my_clock_ns);
         inner.lens[rank] = my_published_intervals;
@@ -235,12 +234,12 @@ impl CentralBarrier {
         inner.arrived += 1;
         if inner.arrived == self.nprocs {
             // Last arriver: seal the episode and open the next generation.
-            let epoch = Arc::new(BarrierEpoch {
+            let epoch = Rc::new(BarrierEpoch {
                 depart_clock_ns: inner.max_clock_ns.saturating_add(barrier_latency_ns),
                 published_intervals: inner.lens.clone(),
                 retire_below: gc_thresholds(&inner.prev_published, &inner.pending_floor),
             });
-            inner.epoch = Arc::clone(&epoch);
+            inner.epoch = Rc::clone(&epoch);
             inner.prev_published = inner.lens.clone();
             inner.pending_floor.fill(u32::MAX);
             inner.arrived = 0;
@@ -253,8 +252,8 @@ impl CentralBarrier {
     }
 
     /// The most recently sealed episode.
-    fn epoch(&self) -> Arc<BarrierEpoch> {
-        Arc::clone(&self.inner.lock().epoch)
+    fn epoch(&self) -> Rc<BarrierEpoch> {
+        Rc::clone(&self.inner.borrow().epoch)
     }
 }
 
@@ -262,8 +261,6 @@ impl CentralBarrier {
 /// turn to come back around.
 #[derive(Debug)]
 enum TurnOp {
-    /// No transition: just wait for this processor's first turn.
-    FirstTurn,
     /// Requeue as runnable at `clock_ns`, then wait to be picked again.
     Yield { clock_ns: u64 },
     /// Park on `key` at `clock_ns`, then wait to be woken and picked.
@@ -271,24 +268,14 @@ enum TurnOp {
 }
 
 /// A park point: the future returned by every scheduler wait in
-/// [`GlobalSync`].  The same future serves both substrates:
-///
-/// * **Threaded** — the transition plus the wait run as one *blocking*
-///   scheduler call inside the first `poll`, which therefore always returns
-///   [`Poll::Ready`]; the future never actually suspends.
-/// * **EventDriven** — the first `poll` applies the transition through the
-///   scheduler's non-blocking `note_*` API (which also picks the next
-///   runnable processor), then reports [`Poll::Pending`] until the
-///   single-threaded engine observes this processor is current again.
-///
-/// Either way the scheduler sees the exact same sequence of transitions, so
-/// the decision log — and with it every downstream statistic — is
-/// bit-identical across engines.
+/// [`GlobalSync`].  Its first `poll` applies the transition through the
+/// scheduler's `note_*` API (which also picks the next runnable
+/// processor); it then reports [`Poll::Pending`] until the engine's pick
+/// loop finds this processor current again.
 #[derive(Debug)]
 pub struct TurnWait<'a> {
     sched: &'a Scheduler,
     rank: usize,
-    engine: EngineKind,
     op: Option<TurnOp>,
 }
 
@@ -297,51 +284,18 @@ impl Future for TurnWait<'_> {
 
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
         let this = &mut *self;
-        match this.engine {
-            EngineKind::Threaded => {
-                if let Some(op) = this.op.take() {
-                    match op {
-                        TurnOp::FirstTurn => this.sched.wait_first_turn(this.rank),
-                        TurnOp::Yield { clock_ns } => this.sched.yield_turn(this.rank, clock_ns),
-                        TurnOp::Block { key, clock_ns } => {
-                            this.sched.block_on(this.rank, key, clock_ns)
-                        }
-                    }
-                }
-                Poll::Ready(())
+        match this.op.take() {
+            Some(TurnOp::Yield { clock_ns }) => this.sched.note_yield(this.rank, clock_ns),
+            Some(TurnOp::Block { key, clock_ns }) => {
+                this.sched.note_block(this.rank, key, clock_ns)
             }
-            EngineKind::EventDriven => {
-                if let Some(op) = this.op.take() {
-                    match op {
-                        TurnOp::FirstTurn => {}
-                        TurnOp::Yield { clock_ns } => this.sched.note_yield(this.rank, clock_ns),
-                        TurnOp::Block { key, clock_ns } => {
-                            this.sched.note_block(this.rank, key, clock_ns)
-                        }
-                    }
-                }
-                if this.sched.is_current(this.rank) {
-                    Poll::Ready(())
-                } else {
-                    Poll::Pending
-                }
-            }
+            None => {}
         }
-    }
-}
-
-/// Drive a future that must complete within a single poll — the contract of
-/// every [`TurnWait`] under the threaded engine, where each park point
-/// blocks internally and resolves before `poll` returns.
-///
-/// # Panics
-/// Panics if the future suspends, which would mean a threaded-mode park
-/// point returned [`Poll::Pending`] — a substrate bug.
-pub(crate) fn complete_now<F: Future>(fut: F) -> F::Output {
-    let mut fut = std::pin::pin!(fut);
-    match fut.as_mut().poll(&mut Context::from_waker(Waker::noop())) {
-        Poll::Ready(v) => v,
-        Poll::Pending => unreachable!("threaded-engine future suspended; park points must block"),
+        if this.sched.is_current(this.rank) {
+            Poll::Ready(())
+        } else {
+            Poll::Pending
+        }
     }
 }
 
@@ -355,18 +309,16 @@ pub struct GlobalSync {
     /// The single centralized barrier.
     pub barrier: CentralBarrier,
     sched: Scheduler,
-    engine: EngineKind,
 }
 
 impl GlobalSync {
     /// Create the synchronization state for a cluster running under the
-    /// given scheduling configuration and execution engine.
-    pub fn new(nprocs: usize, max_locks: usize, sched: SchedConfig, engine: EngineKind) -> Self {
+    /// given scheduling configuration.
+    pub fn new(nprocs: usize, max_locks: usize, sched: SchedConfig) -> Self {
         GlobalSync {
             locks: (0..max_locks).map(|_| GlobalLock::new(nprocs)).collect(),
             barrier: CentralBarrier::new(nprocs),
             sched: Scheduler::new(nprocs, sched),
-            engine,
         }
     }
 
@@ -375,27 +327,11 @@ impl GlobalSync {
         &self.sched
     }
 
-    /// Which execution substrate drives this cluster's processors.
-    pub fn engine(&self) -> EngineKind {
-        self.engine
-    }
-
-    /// Park point: wait for this processor's first turn.
-    pub(crate) fn wait_first_turn(&self, rank: usize) -> TurnWait<'_> {
-        TurnWait {
-            sched: &self.sched,
-            rank,
-            engine: self.engine,
-            op: Some(TurnOp::FirstTurn),
-        }
-    }
-
     /// Park point: requeue as runnable at `clock_ns` and wait to be picked.
     pub(crate) fn yield_turn(&self, rank: usize, clock_ns: u64) -> TurnWait<'_> {
         TurnWait {
             sched: &self.sched,
             rank,
-            engine: self.engine,
             op: Some(TurnOp::Yield { clock_ns }),
         }
     }
@@ -405,7 +341,6 @@ impl GlobalSync {
         TurnWait {
             sched: &self.sched,
             rank,
-            engine: self.engine,
             op: Some(TurnOp::Block { key, clock_ns }),
         }
     }
@@ -460,7 +395,7 @@ impl GlobalSync {
         barrier_latency_ns: u64,
         published_intervals: u32,
         pending_floor: &[u32],
-    ) -> Arc<BarrierEpoch> {
+    ) -> Rc<BarrierEpoch> {
         self.yield_turn(rank, clock_ns).await;
         match self.barrier.arrive(
             rank,
@@ -485,33 +420,31 @@ impl GlobalSync {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::{Cell, RefCell};
+    use std::task::Waker;
     use tm_sched::ScheduleMode;
 
-    /// Run `nprocs` threads against one `GlobalSync`, following the
-    /// scheduler protocol (first-turn wait + finish), and collect each
-    /// thread's result in rank order.
-    fn drive<R, F>(sync: &GlobalSync, nprocs: usize, body: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        let body = &body;
-        let mut out = Vec::with_capacity(nprocs);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for rank in 0..nprocs {
-                handles.push(scope.spawn(move || {
-                    sync.scheduler().wait_first_turn(rank);
-                    let r = body(rank);
-                    sync.scheduler().finish(rank);
-                    r
-                }));
+    /// Run `nprocs` processors against one `GlobalSync` the way the engine
+    /// does — resume whichever rank the scheduler names, retire it when its
+    /// body completes — and collect each body's result in rank order.
+    fn drive<R>(sync: &GlobalSync, nprocs: usize, body: impl AsyncFn(usize) -> R) -> Vec<R> {
+        let mut tasks: Vec<Option<Pin<Box<dyn Future<Output = R> + '_>>>> = (0..nprocs)
+            .map(|rank| Some(Box::pin(body(rank)) as Pin<Box<dyn Future<Output = R>>>))
+            .collect();
+        let mut out: Vec<Option<R>> = (0..nprocs).map(|_| None).collect();
+        let mut cx = Context::from_waker(Waker::noop());
+        while let Some(rank) = sync.scheduler().current() {
+            let task = tasks[rank].as_mut().expect("current rank has a live task");
+            if let Poll::Ready(r) = task.as_mut().poll(&mut cx) {
+                tasks[rank] = None;
+                out[rank] = Some(r);
+                sync.scheduler().finish(rank);
             }
-            for h in handles {
-                out.push(h.join().expect("sync test thread panicked"));
-            }
-        });
-        out
+        }
+        assert_eq!(sync.scheduler().abort_dump(), None);
+        out.into_iter()
+            .map(|r| r.expect("every rank completes"))
+            .collect()
     }
 
     #[test]
@@ -532,30 +465,29 @@ mod tests {
 
     #[test]
     fn lock_mutual_exclusion_and_deterministic_handoff() {
-        // Four processors increment a plain (non-atomic-protocol) counter
-        // 200 times each under the global lock. Mutual exclusion makes the
-        // total exact; the scheduler makes the hand-off ORDER a pure
-        // function of the seed, which we check by tracing two identical
-        // runs.
+        // Four processors increment a plain counter 200 times each under the
+        // global lock, suspending inside the critical section. Mutual
+        // exclusion makes the total exact; the scheduler makes the hand-off
+        // ORDER a pure function of the seed, which we check by tracing two
+        // identical runs.
         let run = |seed: u64| {
-            let sync = GlobalSync::new(4, 4, SchedConfig::seeded(seed), EngineKind::Threaded);
-            let order = Mutex::new(Vec::new());
-            let counter = Mutex::new(0u64);
-            drive(&sync, 4, |rank| {
+            let sync = GlobalSync::new(4, 4, SchedConfig::seeded(seed));
+            let order = RefCell::new(Vec::new());
+            let counter = Cell::new(0u64);
+            drive(&sync, 4, async |rank| {
                 for i in 0..200u64 {
                     let clock = rank as u64 + 4 * i;
-                    let _grant = complete_now(sync.acquire_lock(0, rank, clock));
-                    {
-                        let mut c = counter.lock();
-                        let v = *c;
-                        std::hint::black_box(&v);
-                        *c = v + 1;
-                    }
-                    order.lock().push(rank as u32);
-                    complete_now(sync.release_lock(0, rank, VectorClock::zero(4), clock + 1));
+                    let _grant = sync.acquire_lock(0, rank, clock).await;
+                    let v = counter.get();
+                    // Offer the turn mid-section: a waiter must not get in.
+                    sync.yield_turn(rank, clock).await;
+                    counter.set(v + 1);
+                    order.borrow_mut().push(rank as u32);
+                    sync.release_lock(0, rank, VectorClock::zero(4), clock + 1)
+                        .await;
                 }
             });
-            assert_eq!(*counter.lock(), 800);
+            assert_eq!(counter.get(), 800);
             assert_eq!(sync.lock(0).acquisitions(), 800);
             order.into_inner()
         };
@@ -567,43 +499,50 @@ mod tests {
         // Rank 0 takes the lock at clock 0 and holds it until clock 10_000;
         // ranks 1..4 request it at clocks 300, 200, 100. Hand-off must be in
         // request-clock order: 3, 2, 1.
-        let sync = GlobalSync::new(4, 1, SchedConfig::fifo(), EngineKind::Threaded);
-        let order = Mutex::new(Vec::new());
-        drive(&sync, 4, |rank| {
+        let sync = GlobalSync::new(4, 1, SchedConfig::fifo());
+        let order = RefCell::new(Vec::new());
+        drive(&sync, 4, async |rank| {
             if rank == 0 {
-                let _ = complete_now(sync.acquire_lock(0, 0, 0));
+                let _ = sync.acquire_lock(0, 0, 0).await;
                 // Let the others get their requests in, then release late.
-                sync.scheduler().yield_turn(0, 9_000);
-                complete_now(sync.release_lock(0, 0, VectorClock::zero(4), 10_000));
+                sync.yield_turn(0, 9_000).await;
+                sync.release_lock(0, 0, VectorClock::zero(4), 10_000).await;
             } else {
                 let clock = 100 * (4 - rank) as u64;
-                let _ = complete_now(sync.acquire_lock(0, rank, clock));
-                order.lock().push(rank);
-                complete_now(sync.release_lock(0, rank, VectorClock::zero(4), 10_000 + clock));
+                let _ = sync.acquire_lock(0, rank, clock).await;
+                order.borrow_mut().push(rank);
+                sync.release_lock(0, rank, VectorClock::zero(4), 10_000 + clock)
+                    .await;
             }
         });
-        assert_eq!(*order.lock(), vec![3, 2, 1]);
+        assert_eq!(*order.borrow(), vec![3, 2, 1]);
     }
 
     #[test]
     fn barrier_departure_is_max_arrival_plus_latency() {
-        let sync = GlobalSync::new(3, 1, SchedConfig::fifo(), EngineKind::Threaded);
-        let departs = drive(&sync, 3, |rank| {
+        let sync = GlobalSync::new(3, 1, SchedConfig::fifo());
+        let departs = drive(&sync, 3, async |rank| {
             let clock = [100u64, 900, 400][rank];
-            complete_now(sync.barrier_arrive(rank, clock, 50, 0, &[u32::MAX; 3])).depart_clock_ns
+            sync.barrier_arrive(rank, clock, 50, 0, &[u32::MAX; 3])
+                .await
+                .depart_clock_ns
         });
         assert_eq!(departs, vec![950, 950, 950]);
     }
 
     #[test]
     fn barrier_is_reusable_across_generations() {
-        let sync = GlobalSync::new(2, 1, SchedConfig::fifo(), EngineKind::Threaded);
-        let results = drive(&sync, 2, |rank| {
+        let sync = GlobalSync::new(2, 1, SchedConfig::fifo());
+        let results = drive(&sync, 2, async |rank| {
             let first = [20u64, 10][rank];
-            let a = complete_now(sync.barrier_arrive(rank, first, 5, 0, &[u32::MAX; 2]))
+            let a = sync
+                .barrier_arrive(rank, first, 5, 0, &[u32::MAX; 2])
+                .await
                 .depart_clock_ns;
             let second = if rank == 0 { a + 1 } else { a + 100 };
-            let b = complete_now(sync.barrier_arrive(rank, second, 5, 0, &[u32::MAX; 2]))
+            let b = sync
+                .barrier_arrive(rank, second, 5, 0, &[u32::MAX; 2])
+                .await
                 .depart_clock_ns;
             (a, b)
         });
@@ -613,15 +552,10 @@ mod tests {
 
     #[test]
     fn barrier_snapshots_published_intervals() {
-        let sync = GlobalSync::new(3, 1, SchedConfig::seeded(3), EngineKind::Threaded);
-        let epochs = drive(&sync, 3, |rank| {
-            complete_now(sync.barrier_arrive(
-                rank,
-                10 * rank as u64,
-                7,
-                rank as u32 * 2,
-                &[u32::MAX; 3],
-            ))
+        let sync = GlobalSync::new(3, 1, SchedConfig::seeded(3));
+        let epochs = drive(&sync, 3, async |rank| {
+            sync.barrier_arrive(rank, 10 * rank as u64, 7, rank as u32 * 2, &[u32::MAX; 3])
+                .await
         });
         for e in epochs {
             assert_eq!(e.published_intervals, vec![0, 2, 4]);
@@ -645,13 +579,15 @@ mod tests {
 
     #[test]
     fn barrier_seals_gc_watermarks_from_previous_coverage() {
-        let sync = GlobalSync::new(2, 1, SchedConfig::fifo(), EngineKind::Threaded);
-        let results = drive(&sync, 2, |rank| {
+        let sync = GlobalSync::new(2, 1, SchedConfig::fifo());
+        let results = drive(&sync, 2, async |rank| {
             // Episode 1: ranks have published 4 and 2 intervals, nothing
             // pending.  Episode 2: rank 1 still has rank 0's interval 3
             // pending.
             let published = [4u32, 2][rank];
-            let first = complete_now(sync.barrier_arrive(rank, 10, 5, published, &[u32::MAX; 2]))
+            let first = sync
+                .barrier_arrive(rank, 10, 5, published, &[u32::MAX; 2])
+                .await
                 .retire_below
                 .clone();
             let floor = if rank == 1 {
@@ -659,7 +595,9 @@ mod tests {
             } else {
                 [u32::MAX; 2]
             };
-            let second = complete_now(sync.barrier_arrive(rank, 100, 5, published + 1, &floor))
+            let second = sync
+                .barrier_arrive(rank, 100, 5, published + 1, &floor)
+                .await
                 .retire_below
                 .clone();
             (first, second)
@@ -675,9 +613,8 @@ mod tests {
 
     #[test]
     fn scheduler_mode_is_wired_through() {
-        let sync = GlobalSync::new(2, 1, SchedConfig::seeded(99), EngineKind::Threaded);
+        let sync = GlobalSync::new(2, 1, SchedConfig::seeded(99));
         assert_eq!(sync.scheduler().config().seed, 99);
-        assert_eq!(sync.engine(), EngineKind::Threaded);
         assert_eq!(sync.scheduler().config().mode, ScheduleMode::Seeded);
         assert_eq!(sync.scheduler().nprocs(), 2);
     }
@@ -685,7 +622,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside the configured table")]
     fn out_of_range_lock_id_panics() {
-        let sync = GlobalSync::new(2, 4, SchedConfig::default(), EngineKind::default());
+        let sync = GlobalSync::new(2, 4, SchedConfig::default());
         sync.lock(10);
     }
 }

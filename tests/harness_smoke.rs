@@ -83,23 +83,7 @@ fn all_five_bench_binaries_run_tiny_mode() {
         ("fig_dyn_group", "Dynamic aggregation group-size ablation"),
     ];
     for (bin, expected_header) in bins {
-        // `cargo run` rather than probing target/ for a prebuilt artifact:
-        // it always (re)builds the bin from the current sources (a stale
-        // binary must not be smoke-tested in its place) and it resolves the
-        // output directory itself, so custom `--target` layouts cannot
-        // desynchronize the path. Cargo's own locking makes the nested
-        // invocation safe, and matching the outer profile below keeps the
-        // build a fast no-op when artifacts are fresh.
-        let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
-        let mut cmd = std::process::Command::new(cargo);
-        cmd.args(["run", "-q", "-p", "tm-bench", "--bin", bin]);
-        if running_release_profile() {
-            cmd.arg("--release");
-        }
-        let output = cmd
-            .args(["--", "--tiny"])
-            .output()
-            .unwrap_or_else(|e| panic!("failed to launch cargo run --bin {bin}: {e}"));
+        let output = run_bench_bin(bin, &["--tiny"]);
         assert!(
             output.status.success(),
             "{bin} --tiny exited with {:?}\nstderr:\n{}",
@@ -119,23 +103,10 @@ fn all_five_bench_binaries_run_tiny_mode() {
 /// non-zero per-protocol counters.
 #[test]
 fn bench_binary_accepts_protocol_flag_end_to_end() {
-    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
-    let mut cmd = std::process::Command::new(cargo);
-    cmd.args(["run", "-q", "-p", "tm-bench", "--bin", "fig1"]);
-    if running_release_profile() {
-        cmd.arg("--release");
-    }
-    let output = cmd
-        .args([
-            "--",
-            "--tiny",
-            "--protocol",
-            "home-based",
-            "--format",
-            "csv",
-        ])
-        .output()
-        .expect("failed to launch cargo run --bin fig1");
+    let output = run_bench_bin(
+        "fig1",
+        &["--tiny", "--protocol", "home-based", "--format", "csv"],
+    );
     assert!(
         output.status.success(),
         "fig1 --protocol home-based exited with {:?}\nstderr:\n{}",
@@ -163,6 +134,63 @@ fn bench_binary_accepts_protocol_flag_end_to_end() {
         any_updates,
         "home-based sweep flushed no updates:\n{stdout}"
     );
+}
+
+/// An `--app` filter that leaves an experiment without cells is a usage
+/// error naming the experiment and the application, not an empty document.
+#[test]
+fn app_filter_matching_no_cell_exits_2() {
+    for (bin, app) in [("fig1", "Jacobi"), ("fig2", "Barnes")] {
+        let output = run_bench_bin(bin, &["--tiny", "--app", app, "--format", "json"]);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{bin} --app {app}: {stderr}");
+        assert!(
+            stderr.contains(&format!(
+                "--app {app} matches no cell of experiment '{bin}'"
+            )),
+            "{bin} --app {app}: {stderr}"
+        );
+        assert!(
+            output.stdout.is_empty(),
+            "{bin} --app {app} emitted a document"
+        );
+    }
+}
+
+/// There is one execution engine, so `--engine` is an unknown flag: a usage
+/// error with exit status 2, on the figure binaries and on `bench` alike.
+#[test]
+fn engine_flag_is_a_usage_error() {
+    for bin in ["fig1", "bench"] {
+        let output = run_bench_bin(bin, &["--engine", "event"]);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{bin}: {stderr}");
+        assert!(
+            stderr.contains("unrecognized argument '--engine'") && stderr.contains("usage:"),
+            "{bin}: {stderr}"
+        );
+    }
+}
+
+/// Run the `tm-bench` binary `bin` with `args` and capture its output.
+///
+/// `cargo run` rather than probing target/ for a prebuilt artifact: it
+/// always (re)builds the bin from the current sources (a stale binary must
+/// not be smoke-tested in its place) and it resolves the output directory
+/// itself, so custom `--target` layouts cannot desynchronize the path.
+/// Cargo's own locking makes the nested invocation safe, and matching the
+/// outer profile keeps the build a fast no-op when artifacts are fresh.
+fn run_bench_bin(bin: &str, args: &[&str]) -> std::process::Output {
+    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
+    let mut cmd = std::process::Command::new(cargo);
+    cmd.args(["run", "-q", "-p", "tm-bench", "--bin", bin]);
+    if running_release_profile() {
+        cmd.arg("--release");
+    }
+    cmd.arg("--")
+        .args(args)
+        .output()
+        .unwrap_or_else(|e| panic!("failed to launch cargo run --bin {bin}: {e}"))
 }
 
 /// Whether this test binary was built under the `release` profile (best

@@ -6,8 +6,8 @@
 //!
 //! * **ideal is absence** — an explicit `--topology ideal` run is
 //!   bit-identical (checksum, modeled time, whole `ClusterStats`) to a run
-//!   that never mentions the network, for every tiny application, both
-//!   protocols and both engines.  The seam really is invisible until
+//!   that never mentions the network, for every tiny application and both
+//!   protocols.  The seam really is invisible until
 //!   switched on.
 //! * **aggregation needs a wire** — batching diff flushes under the ideal
 //!   topology is a bit-identical no-op; under any topology it is a no-op
@@ -22,25 +22,20 @@
 //!   bus and slower on the switch, with identical message counts either
 //!   way: the divergence is carried entirely by link occupancy.
 
-use tdsm_core::{AggregationPolicy, EngineKind, ProtocolMode, SchedConfig, Topology};
+use tdsm_core::{AggregationPolicy, ProtocolMode, SchedConfig, Topology};
 use tm_apps::{checksums_match, AppConfig, AppId, Workload};
 
 /// Same golden seed as the cross-protocol suite.
 const GOLDEN_SEED: u64 = 0x5eed;
 
-fn cfg(protocol: ProtocolMode, engine: EngineKind) -> AppConfig {
+fn cfg(protocol: ProtocolMode) -> AppConfig {
     AppConfig::with_procs(4)
         .sched(SchedConfig::seeded(GOLDEN_SEED))
         .protocol(protocol)
-        .engine(engine)
 }
 
 fn protocols() -> [ProtocolMode; 2] {
     [ProtocolMode::MultiWriter, ProtocolMode::home_based()]
-}
-
-fn engines() -> [EngineKind; 2] {
-    [EngineKind::EventDriven, EngineKind::Threaded]
 }
 
 /// Ideal topology, explicit or implicit, is the exact pre-network
@@ -50,23 +45,21 @@ fn engines() -> [EngineKind; 2] {
 fn explicit_ideal_topology_is_bit_identical_to_the_default() {
     for w in Workload::tiny_suite() {
         for protocol in protocols() {
-            for engine in engines() {
-                let plain = w.run_parallel(&cfg(protocol, engine));
-                let ideal = w.run_parallel(
-                    &cfg(protocol, engine)
-                        .topology(Topology::Ideal)
-                        .aggregation(AggregationPolicy::PerMessage),
-                );
-                let tag = format!("{} {:?} {:?}", w.size_label, protocol, engine);
-                assert_eq!(
-                    plain.checksum.to_bits(),
-                    ideal.checksum.to_bits(),
-                    "{tag}: checksum"
-                );
-                assert_eq!(plain.exec_time_ns, ideal.exec_time_ns, "{tag}: exec time");
-                assert_eq!(plain.stats, ideal.stats, "{tag}: cluster stats");
-                assert!(plain.stats.links.is_empty(), "{tag}: ideal tracks no links");
-            }
+            let plain = w.run_parallel(&cfg(protocol));
+            let ideal = w.run_parallel(
+                &cfg(protocol)
+                    .topology(Topology::Ideal)
+                    .aggregation(AggregationPolicy::PerMessage),
+            );
+            let tag = format!("{} {:?}", w.size_label, protocol);
+            assert_eq!(
+                plain.checksum.to_bits(),
+                ideal.checksum.to_bits(),
+                "{tag}: checksum"
+            );
+            assert_eq!(plain.exec_time_ns, ideal.exec_time_ns, "{tag}: exec time");
+            assert_eq!(plain.stats, ideal.stats, "{tag}: cluster stats");
+            assert!(plain.stats.links.is_empty(), "{tag}: ideal tracks no links");
         }
     }
 }
@@ -77,10 +70,8 @@ fn explicit_ideal_topology_is_bit_identical_to_the_default() {
 fn aggregation_is_a_no_op_on_the_ideal_interconnect() {
     for w in Workload::tiny_suite() {
         for protocol in protocols() {
-            let per = w.run_parallel(&cfg(protocol, EngineKind::EventDriven));
-            let batched = w.run_parallel(
-                &cfg(protocol, EngineKind::EventDriven).aggregation(AggregationPolicy::Batched),
-            );
+            let per = w.run_parallel(&cfg(protocol));
+            let batched = w.run_parallel(&cfg(protocol).aggregation(AggregationPolicy::Batched));
             let tag = format!("{} {:?}", w.size_label, protocol);
             assert_eq!(
                 per.checksum.to_bits(),
@@ -99,7 +90,7 @@ fn aggregation_is_a_no_op_on_the_ideal_interconnect() {
 fn aggregation_only_touches_home_based_flushes() {
     for topology in [Topology::SharedBus, Topology::Switched] {
         for w in Workload::tiny_suite() {
-            let base = cfg(ProtocolMode::MultiWriter, EngineKind::EventDriven).topology(topology);
+            let base = cfg(ProtocolMode::MultiWriter).topology(topology);
             let per = w.run_parallel(&base.clone().aggregation(AggregationPolicy::PerMessage));
             let batched = w.run_parallel(&base.aggregation(AggregationPolicy::Batched));
             let tag = format!("{} {:?}", w.size_label, topology);
@@ -123,7 +114,7 @@ fn contended_topologies_are_deterministic_and_account_every_link() {
     for topology in [Topology::SharedBus, Topology::Switched] {
         for aggregation in [AggregationPolicy::PerMessage, AggregationPolicy::Batched] {
             for w in Workload::tiny_suite() {
-                let config = cfg(ProtocolMode::home_based(), EngineKind::EventDriven)
+                let config = cfg(ProtocolMode::home_based())
                     .topology(topology)
                     .aggregation(aggregation);
                 let run = w.run_parallel(&config);
@@ -187,31 +178,6 @@ fn contended_topologies_are_deterministic_and_account_every_link() {
                     );
                 }
             }
-        }
-    }
-}
-
-/// The occupancy horizon is a pure function of the logical schedule, so
-/// the threaded and event-driven substrates must agree bit-for-bit on
-/// contended topologies exactly as they do on the ideal one.
-#[test]
-fn engines_agree_bit_for_bit_under_contention() {
-    for topology in [Topology::SharedBus, Topology::Switched] {
-        for w in Workload::tiny_suite() {
-            let threaded = w.run_parallel(
-                &cfg(ProtocolMode::home_based(), EngineKind::Threaded).topology(topology),
-            );
-            let event = w.run_parallel(
-                &cfg(ProtocolMode::home_based(), EngineKind::EventDriven).topology(topology),
-            );
-            let tag = format!("{} {:?}", w.size_label, topology);
-            assert_eq!(
-                threaded.checksum.to_bits(),
-                event.checksum.to_bits(),
-                "{tag}: checksum"
-            );
-            assert_eq!(threaded.exec_time_ns, event.exec_time_ns, "{tag}: time");
-            assert_eq!(threaded.stats, event.stats, "{tag}: cluster stats");
         }
     }
 }

@@ -10,7 +10,7 @@
 //!   documented 1e-6 relative tolerance for the floating-point reductions
 //!   whose association order legitimately follows the interleaving).
 
-use tdsm_core::{EngineKind, HomeAssign, ProtocolMode, SchedConfig};
+use tdsm_core::{HomeAssign, ProtocolMode, SchedConfig};
 use tm_apps::{checksums_match, AppConfig, AppId, Workload};
 
 /// Eight well-spread schedule seeds (golden-ratio stride from the golden
@@ -64,42 +64,7 @@ fn checksums_are_invariant_across_schedules_and_protocols() {
     }
 }
 
-/// The schedule fuzz extended across the engine seam: within one seed the
-/// two substrates must agree bit for bit (they replay the same decision
-/// sequence), for every seed in the fuzz set.  The suite-wide golden-seed
-/// comparison lives in tests/engine_differential.rs; this one trades app
-/// breadth for schedule breadth.
-#[test]
-fn engines_agree_under_every_fuzz_schedule() {
-    for app in [AppId::Jacobi, AppId::Tsp] {
-        let w = Workload::tiny(app);
-        for seed in fuzz_seeds() {
-            let run = |engine: EngineKind| {
-                w.run_parallel(
-                    &AppConfig::with_procs(3)
-                        .sched(SchedConfig::seeded(seed))
-                        .engine(engine),
-                )
-            };
-            let threaded = run(EngineKind::Threaded);
-            let event = run(EngineKind::EventDriven);
-            assert_eq!(
-                threaded.checksum.to_bits(),
-                event.checksum.to_bits(),
-                "{} seed {seed:#x}: engines disagreed on the checksum",
-                w.size_label
-            );
-            assert_eq!(
-                threaded.stats, event.stats,
-                "{} seed {seed:#x}: engines disagreed on ClusterStats",
-                w.size_label
-            );
-        }
-    }
-}
-
-/// Large-N fuzz: the cluster sizes the event engine unlocks (64 and 256
-/// processors — the threaded substrate needs an OS thread per rank) stay
+/// Large-N fuzz: clusters of 64 and 256 processors stay
 /// schedule-invariant too.  Ranks beyond the data's natural parallelism
 /// hold empty bands and only participate in barriers, which is exactly the
 /// regime where a scheduler bug would surface as a hang or a stale read.
@@ -114,11 +79,8 @@ fn large_n_checksums_are_invariant_across_schedules() {
             let reference = w.run_sequential();
             let mut first_bits = None;
             for seed in fuzz_seeds() {
-                let run = w.run_parallel(
-                    &AppConfig::with_procs(nprocs)
-                        .sched(SchedConfig::seeded(seed))
-                        .engine(EngineKind::EventDriven),
-                );
+                let run =
+                    w.run_parallel(&AppConfig::with_procs(nprocs).sched(SchedConfig::seeded(seed)));
                 assert!(
                     checksums_match(run.checksum, reference, 1e-6),
                     "{} at {nprocs} procs, seed {seed:#x}: diverged from \
