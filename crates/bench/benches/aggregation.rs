@@ -9,41 +9,13 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use tdsm_core::{Align, CostModel, Dsm, DsmConfig, UnitPolicy};
-
-fn config(unit: UnitPolicy) -> DsmConfig {
-    DsmConfig {
-        nprocs: 4,
-        page_size: 4096,
-        shared_pages: 512,
-        unit,
-        cost: CostModel::pentium_ethernet_1997(),
-        max_locks: 16,
-        sched: tdsm_core::SchedConfig::default(),
-        ..DsmConfig::paper_default()
-    }
-}
-
-/// Producer/consumer: one processor writes a 16-page region, the others read
-/// it after a barrier (aggregation-friendly).
-fn producer_consumer(unit: UnitPolicy) -> u64 {
-    let mut dsm = Dsm::new(config(unit));
-    let arr = dsm.alloc_array::<u64>(16 * 512, Align::Page);
-    let out = dsm.run(async |ctx| {
-        if ctx.rank() == 0 {
-            let vals: Vec<u64> = (0..arr.len() as u64).collect();
-            arr.write_slice(ctx, 0, &vals).await;
-        }
-        ctx.barrier().await;
-        arr.read_vec(ctx, 0, arr.len()).await.iter().sum::<u64>()
-    });
-    out.results[1]
-}
+use tdsm_core::{Align, Dsm, Topology, UnitPolicy};
+use tm_bench::perf::{micro_dsm_config, producer_consumer};
 
 /// Cyclically interleaved writers: every processor writes every fourth page
 /// slot and reads only its own (false-sharing heavy at large units).
 fn interleaved_writers(unit: UnitPolicy) -> u64 {
-    let mut dsm = Dsm::new(config(unit));
+    let mut dsm = Dsm::new(micro_dsm_config(unit, Topology::default()));
     let arr = dsm.alloc_array::<u64>(32 * 512, Align::Page);
     let out = dsm.run(async |ctx| {
         let me = ctx.rank();
@@ -79,7 +51,7 @@ fn bench_aggregation(c: &mut Criterion) {
     group.sample_size(20);
     for (label, unit) in policies {
         group.bench_with_input(BenchmarkId::from_parameter(label), &unit, |b, &unit| {
-            b.iter(|| black_box(producer_consumer(unit)))
+            b.iter(|| black_box(producer_consumer(unit, 16, Topology::default())))
         });
     }
     group.finish();

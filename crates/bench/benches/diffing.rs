@@ -18,13 +18,12 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use tdsm_core::{DiffTiming, SchedConfig};
+use tdsm_core::{DiffTiming, Topology};
 use tm_apps::{jacobi, AppConfig};
+use tm_bench::perf::jacobi_micro_config;
 
 fn cfg(timing: DiffTiming) -> AppConfig {
-    AppConfig::with_procs(4)
-        .sched(SchedConfig::seeded(0x6c))
-        .diff_timing(timing)
+    jacobi_micro_config(timing, Topology::default())
 }
 
 fn bench_diff_timing(c: &mut Criterion) {

@@ -7,6 +7,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use tdsm_core::{Align, CostModel, Dsm, DsmConfig, UnitPolicy};
+use tm_bench::perf::{diff_inputs, dirty_and_twin};
 use tm_page::{Diff, LocalPage, PageId};
 
 fn small_config(nprocs: usize) -> DsmConfig {
@@ -24,14 +25,7 @@ fn small_config(nprocs: usize) -> DsmConfig {
 
 fn bench_diff_create(c: &mut Criterion) {
     let mut group = c.benchmark_group("diff");
-    let twin = vec![0u8; 4096];
-    // Sparse modification: every 16th word.
-    let mut sparse = twin.clone();
-    for w in (0..1024).step_by(16) {
-        sparse[w * 4] = 1;
-    }
-    // Dense modification: entire page.
-    let dense = vec![0xAAu8; 4096];
+    let (twin, sparse, dense) = diff_inputs();
 
     group.bench_function("create_sparse_page", |b| {
         b.iter(|| Diff::create(PageId(0), black_box(&twin), black_box(&sparse)))
@@ -50,10 +44,7 @@ fn bench_diff_create(c: &mut Criterion) {
     group.bench_function("twin_creation", |b| {
         b.iter_batched(
             || LocalPage::new_zeroed(4096),
-            |mut page| {
-                page.write_bytes(0, black_box(&[1u8; 64]));
-                black_box(page.ensure_twin())
-            },
+            |mut page| black_box(dirty_and_twin(&mut page)),
             BatchSize::SmallInput,
         )
     });

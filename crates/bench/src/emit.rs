@@ -21,8 +21,8 @@ use tdsm_core::{CommBreakdown, GcCounters, LinkStats, RaceRecord, UnitPolicy};
 use tm_apps::AppId;
 
 use crate::experiment::Cell;
+use crate::norm;
 use crate::runner::{CellResult, ExperimentResult};
-use crate::{figure_panel_string, signature_string};
 
 /// Identifier of the emitted JSON schema; bumped on breaking changes.
 ///
@@ -520,8 +520,74 @@ fn workload_groups(result: &ExperimentResult) -> Vec<&[CellResult]> {
 
 fn render_panels(out: &mut String, result: &ExperimentResult) {
     for group in workload_groups(result) {
-        let rows: Vec<crate::FigRow> = group.iter().map(|r| r.fig_row()).collect();
-        out.push_str(&figure_panel_string(&rows));
+        render_panel(out, group);
+    }
+}
+
+/// Render one workload's cells the way the paper's Figures 1 and 2 present
+/// them: execution time, messages and data normalized to the 4 KB cell,
+/// with the useful/useless/piggybacked breakdown.  Rows are labelled by unit
+/// policy; when the cells of the panel also differ in processor count,
+/// protocol or network, each row is labelled by its cell key without the
+/// `app/size/` prefix (e.g. `4K/p2/bus+batched`).
+fn render_panel(out: &mut String, group: &[CellResult]) {
+    let base = group
+        .iter()
+        .find(|r| r.cell.policy_label == "4K")
+        .expect("panels carry the 4K baseline");
+    let uniform = group.iter().all(|r| {
+        r.cell.nprocs == base.cell.nprocs
+            && r.cell.protocol == base.cell.protocol
+            && r.cell.network == base.cell.network
+    });
+    let (heading, labels): (&str, Vec<String>) = if uniform {
+        (
+            "unit",
+            group.iter().map(|r| r.cell.policy_label.clone()).collect(),
+        )
+    } else {
+        let prefix = format!("{}/{}/", base.cell.app.name(), base.cell.size_label);
+        (
+            "cell",
+            group
+                .iter()
+                .map(|r| {
+                    let key = r.cell.key();
+                    key.strip_prefix(&prefix).unwrap_or(&key).to_string()
+                })
+                .collect(),
+        )
+    };
+    let width = labels.iter().map(|l| l.len()).fold(6, usize::max);
+    let b = &base.breakdown;
+    let _ = writeln!(
+        out,
+        "\n=== {} {} (normalized to 4K; absolute 4K: {:.1} ms, {} msgs, {} KB) ===",
+        base.cell.app.name(),
+        base.cell.size_label,
+        base.exec_time_ns as f64 / 1e6,
+        b.total_messages(),
+        b.total_payload() / 1024
+    );
+    let _ = writeln!(
+        out,
+        "{:<width$} {:>10} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12}",
+        heading, "time", "msgs", "useless-msg", "data", "useful", "piggyback", "useless"
+    );
+    for (r, label) in group.iter().zip(&labels) {
+        let rb = &r.breakdown;
+        let _ = writeln!(
+            out,
+            "{:<width$} {:>10.3} {:>12.3} {:>12.3} {:>12.3} {:>12.3} {:>12.3} {:>12.3}",
+            label,
+            norm(r.exec_time_ns, base.exec_time_ns),
+            norm(rb.total_messages(), b.total_messages()),
+            norm(rb.useless_messages, b.total_messages()),
+            norm(rb.total_payload(), b.total_payload()),
+            norm(rb.useful_data, b.total_payload()),
+            norm(rb.piggybacked_useless_data, b.total_payload()),
+            norm(rb.useless_data_in_useless_msgs, b.total_payload()),
+        );
     }
 }
 
@@ -559,14 +625,39 @@ fn render_table1(out: &mut String, result: &ExperimentResult) {
     }
 }
 
+/// Render each cell's false-sharing signature in the style of Figure 3: one
+/// line per concurrent-writer count with its frequency and useful/useless
+/// split.
 fn render_signatures(out: &mut String, result: &ExperimentResult) {
     for r in &result.cells {
-        out.push_str(&signature_string(
+        let sig = &r.breakdown.signature;
+        let _ = writeln!(
+            out,
+            "\n--- {} {} @ {} (mean writers {:.2}) ---",
             r.cell.app.name(),
-            &r.cell.size_label,
-            &r.cell.policy_label,
-            &r.breakdown.signature,
-        ));
+            r.cell.size_label,
+            r.cell.policy_label,
+            sig.mean_writers()
+        );
+        let _ = writeln!(
+            out,
+            "{:>8} {:>10} {:>10} {:>10}",
+            "writers", "freq", "useful", "useless"
+        );
+        for k in 1..=sig.max_writers().max(1) {
+            let b = sig.bucket(k);
+            if b.faults == 0 {
+                continue;
+            }
+            let _ = writeln!(
+                out,
+                "{:>8} {:>10.3} {:>10} {:>10}",
+                k,
+                sig.frequency(k),
+                b.useful_exchanges,
+                b.useless_exchanges
+            );
+        }
     }
 }
 
@@ -576,14 +667,14 @@ fn render_ablation(out: &mut String, result: &ExperimentResult) {
             .iter()
             .find(|r| r.cell.policy_label == "4K")
             .expect("ablation groups carry the 4K baseline");
-        let base_row = base.fig_row();
+        let base_msgs = base.breakdown.total_messages();
         let _ = writeln!(
             out,
             "\n=== {} {} (baseline 4K: {:.1} ms, {} msgs) ===",
             base.cell.app.name(),
             base.cell.size_label,
             base.exec_time_ns as f64 / 1e6,
-            base_row.total_msgs()
+            base_msgs
         );
         let _ = writeln!(
             out,
@@ -594,14 +685,13 @@ fn render_ablation(out: &mut String, result: &ExperimentResult) {
             let UnitPolicy::Dynamic { max_group_pages } = r.cell.unit else {
                 continue; // the baseline row itself
             };
-            let row = r.fig_row();
             let _ = writeln!(
                 out,
                 "{:<10} {:>12.3} {:>12.3} {:>14.3}",
                 max_group_pages,
                 r.exec_time_ns as f64 / base.exec_time_ns as f64,
-                row.total_msgs() as f64 / base_row.total_msgs().max(1) as f64,
-                row.useless_msgs as f64 / base_row.total_msgs().max(1) as f64,
+                r.breakdown.total_messages() as f64 / base_msgs.max(1) as f64,
+                r.breakdown.useless_messages as f64 / base_msgs.max(1) as f64,
             );
         }
     }
@@ -847,6 +937,71 @@ mod tests {
         assert_eq!(csv.lines().count(), result.cells.len() + 1);
         assert!(csv.lines().next().unwrap().starts_with("experiment,app,"));
         assert!(csv.contains("fig3,Barnes,"));
+    }
+
+    #[test]
+    fn table1_human_row_speedup_math() {
+        use tdsm_core::{DiffTiming, ProtocolMode, SchedConfig};
+        let w = tm_apps::Workload::tiny(AppId::Fft3d);
+        let cell = |nprocs, exec_time_ns| CellResult {
+            cell: Cell::new(
+                &w,
+                "4K",
+                UnitPolicy::Static { pages: 1 },
+                nprocs,
+                SchedConfig::default(),
+                DiffTiming::default(),
+                ProtocolMode::default(),
+                tm_sched::EngineKind::default(),
+            ),
+            exec_time_ns,
+            checksum: 1.5,
+            breakdown: CommBreakdown::default(),
+            gc: GcCounters::default(),
+            links: Vec::new(),
+            races: None,
+            host_wall_ns: 0,
+        };
+        let result = ExperimentResult {
+            name: "table1".to_string(),
+            title: "Table 1".to_string(),
+            threads: 1,
+            host_wall_ns: 0,
+            cells: vec![cell(1, 8_000_000), cell(8, 2_000_000)],
+        };
+        let text = render(&result, OutputFormat::Human);
+        let row = text
+            .lines()
+            .find(|l| l.starts_with("3D-FFT"))
+            .expect("one row per workload");
+        // Sequential and parallel times in ms, speedup = seq / par, and the
+        // checksums agree.
+        let cols: Vec<&str> = row.split_whitespace().collect();
+        assert_eq!(cols[cols.len() - 4..], ["8.0", "2.0", "4.00", "yes"]);
+    }
+
+    #[test]
+    fn panel_rows_have_distinct_labels() {
+        for name in ["fig_network", "fig_scale"] {
+            let text = render(&tiny_result(name), OutputFormat::Human);
+            let panels: Vec<&str> = text.split("\n=== ").skip(1).collect();
+            assert!(!panels.is_empty(), "{name} rendered no panel");
+            for panel in panels {
+                // Skip the panel title and the column header; rows run to
+                // the blank line that ends the panel.
+                let labels: Vec<&str> = panel
+                    .lines()
+                    .skip(2)
+                    .take_while(|l| !l.is_empty())
+                    .map(|l| l.split_whitespace().next().unwrap())
+                    .collect();
+                assert!(labels.len() > 1, "{name}: {panel}");
+                let mut unique = labels.clone();
+                unique.sort_unstable();
+                unique.dedup();
+                assert_eq!(unique.len(), labels.len(), "{name}: {panel}");
+            }
+        }
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! (application, data set, consistency-unit policy, processor count)
 //! configuration that the paper artifact measures. The five named
 //! experiments ([`Experiment::fig1`] … [`Experiment::dyn_group`]) are built
-//! from the `tm_apps` workload registry crossed with a
-//! [`tdsm_core::SweepSpec`]; the worker pool in [`crate::runner`] executes
+//! from the `tm_apps` workload registry crossed with their unit-policy,
+//! protocol and network axes; the worker pool in [`crate::runner`] executes
 //! the cells and the emitters in [`crate::emit`] render the results.
 //!
 //! Cells carry a deterministic seed derived from their identity (FNV-1a over
@@ -17,10 +17,9 @@
 //! same results, bit for bit.
 
 use tdsm_core::{
-    AggregationPolicy, DiffTiming, NetworkConfig, ProtocolMode, SchedConfig, SweepSpec, Topology,
-    UnitPolicy,
+    AggregationPolicy, DiffTiming, NetworkConfig, ProtocolMode, SchedConfig, Topology, UnitPolicy,
 };
-use tm_apps::{AppId, Workload};
+use tm_apps::{paper_unit_policies, AppId, Workload};
 use tm_sched::{EngineKind, ScheduleMode};
 
 use crate::{BenchArgs, Scale};
@@ -177,6 +176,53 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// The 4 KB / 16 KB pair of static units that Figure 3 and the cluster-size
+/// sweep compare.
+const UNITS_4K_16K: [(&str, UnitPolicy); 2] = [
+    ("4K", UnitPolicy::Static { pages: 1 }),
+    ("16K", UnitPolicy::Static { pages: 4 }),
+];
+
+/// The §4 ablation's dynamic-aggregation group limits (2, 4, 8 and 16
+/// pages); the paper's default of 4 keeps the plain "Dyn" label.
+const DYN_GROUP_UNITS: [(&str, UnitPolicy); 4] = [
+    ("Dyn2", UnitPolicy::Dynamic { max_group_pages: 2 }),
+    ("Dyn", UnitPolicy::Dynamic { max_group_pages: 4 }),
+    ("Dyn8", UnitPolicy::Dynamic { max_group_pages: 8 }),
+    (
+        "Dyn16",
+        UnitPolicy::Dynamic {
+            max_group_pages: 16,
+        },
+    ),
+];
+
+/// One cell of `w` under the run-wide options of `args` (base seed and
+/// schedule mode, diff timing, race detection) with the given grid
+/// coordinates.
+fn cell(
+    args: &BenchArgs,
+    w: &Workload,
+    label: &str,
+    unit: UnitPolicy,
+    nprocs: usize,
+    protocol: ProtocolMode,
+    network: NetworkConfig,
+) -> Cell {
+    Cell::new(
+        w,
+        label,
+        unit,
+        nprocs,
+        args.sched(),
+        args.diff_timing,
+        protocol,
+        EngineKind::default(),
+    )
+    .with_network(network)
+    .with_racecheck(args.racecheck)
+}
+
 /// A named set of cells reproducing one artifact of the paper.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Experiment {
@@ -247,28 +293,19 @@ impl Experiment {
     }
 
     fn policy_sweep(name: &str, title: String, apps: Vec<AppId>, args: &BenchArgs) -> Experiment {
-        let spec = SweepSpec::paper_units(args.nprocs)
-            .with_sched(args.sched())
-            .with_protocols(vec![args.protocol])
-            .with_networks(vec![args.network()]);
         let mut cells = Vec::new();
         for app in apps {
             for w in args.workloads_for(app) {
-                for p in spec.points() {
-                    cells.push(
-                        Cell::new(
-                            &w,
-                            &p.label,
-                            p.unit,
-                            p.nprocs,
-                            spec.sched,
-                            args.diff_timing,
-                            p.protocol,
-                            EngineKind::default(),
-                        )
-                        .with_network(p.network)
-                        .with_racecheck(args.racecheck),
-                    );
+                for (label, unit) in paper_unit_policies() {
+                    cells.push(cell(
+                        args,
+                        &w,
+                        &label,
+                        unit,
+                        args.nprocs,
+                        args.protocol,
+                        args.network(),
+                    ));
                 }
             }
         }
@@ -286,35 +323,18 @@ impl Experiment {
         let unit = UnitPolicy::Static { pages: 1 };
         let mut cells = Vec::new();
         for w in args.suite() {
-            cells.push(
-                Cell::new(
+            let mut procs = vec![1, args.nprocs];
+            procs.dedup();
+            for nprocs in procs {
+                cells.push(cell(
+                    args,
                     &w,
                     "4K",
                     unit,
-                    1,
-                    args.sched(),
-                    args.diff_timing,
+                    nprocs,
                     args.protocol,
-                    EngineKind::default(),
-                )
-                .with_network(args.network())
-                .with_racecheck(args.racecheck),
-            );
-            if args.nprocs != 1 {
-                cells.push(
-                    Cell::new(
-                        &w,
-                        "4K",
-                        unit,
-                        args.nprocs,
-                        args.sched(),
-                        args.diff_timing,
-                        args.protocol,
-                        EngineKind::default(),
-                    )
-                    .with_network(args.network())
-                    .with_racecheck(args.racecheck),
-                );
+                    args.network(),
+                ));
             }
         }
         Experiment {
@@ -331,28 +351,20 @@ impl Experiment {
     /// Barnes, Ilink, Water and MGS (one representative data set each).
     pub fn fig3(args: &BenchArgs) -> Experiment {
         let mut cells = Vec::new();
-        for app in crate::figure3_apps() {
+        for app in [AppId::Barnes, AppId::Ilink, AppId::Water, AppId::Mgs] {
             let Some(w) = representative(args, app) else {
                 continue; // excluded by --app
             };
-            for (label, unit) in [
-                ("4K", UnitPolicy::Static { pages: 1 }),
-                ("16K", UnitPolicy::Static { pages: 4 }),
-            ] {
-                cells.push(
-                    Cell::new(
-                        &w,
-                        label,
-                        unit,
-                        args.nprocs,
-                        args.sched(),
-                        args.diff_timing,
-                        args.protocol,
-                        EngineKind::default(),
-                    )
-                    .with_network(args.network())
-                    .with_racecheck(args.racecheck),
-                );
+            for (label, unit) in UNITS_4K_16K {
+                cells.push(cell(
+                    args,
+                    &w,
+                    label,
+                    unit,
+                    args.nprocs,
+                    args.protocol,
+                    args.network(),
+                ));
             }
         }
         Experiment {
@@ -374,39 +386,17 @@ impl Experiment {
             let Some(w) = representative(args, app) else {
                 continue; // excluded by --app
             };
-            cells.push(
-                Cell::new(
+            let baseline = ("4K", UnitPolicy::Static { pages: 1 });
+            for (label, unit) in std::iter::once(baseline).chain(DYN_GROUP_UNITS) {
+                cells.push(cell(
+                    args,
                     &w,
-                    "4K",
-                    UnitPolicy::Static { pages: 1 },
+                    label,
+                    unit,
                     args.nprocs,
-                    args.sched(),
-                    args.diff_timing,
                     args.protocol,
-                    EngineKind::default(),
-                )
-                .with_network(args.network())
-                .with_racecheck(args.racecheck),
-            );
-            let spec = SweepSpec::dyn_group_ablation(args.nprocs)
-                .with_sched(args.sched())
-                .with_protocols(vec![args.protocol])
-                .with_networks(vec![args.network()]);
-            for p in spec.points() {
-                cells.push(
-                    Cell::new(
-                        &w,
-                        &p.label,
-                        p.unit,
-                        p.nprocs,
-                        spec.sched,
-                        args.diff_timing,
-                        p.protocol,
-                        EngineKind::default(),
-                    )
-                    .with_network(p.network)
-                    .with_racecheck(args.racecheck),
-                );
+                    args.network(),
+                ));
             }
         }
         Experiment {
@@ -426,37 +416,30 @@ impl Experiment {
     /// sharing hurts (MGS).  The grid fixes its own protocol and network
     /// axes; `--protocol`/`--topology`/`--aggregation` do not narrow it.
     pub fn fig_network(args: &BenchArgs) -> Experiment {
-        let networks = vec![
+        let networks = [
             NetworkConfig::default(),
             NetworkConfig::new(Topology::SharedBus, AggregationPolicy::PerMessage),
             NetworkConfig::new(Topology::SharedBus, AggregationPolicy::Batched),
             NetworkConfig::new(Topology::Switched, AggregationPolicy::PerMessage),
             NetworkConfig::new(Topology::Switched, AggregationPolicy::Batched),
         ];
-        let spec = SweepSpec::single(args.nprocs, UnitPolicy::Static { pages: 1 })
-            .with_sched(args.sched())
-            .with_protocols(vec![ProtocolMode::MultiWriter, ProtocolMode::home_based()])
-            .with_networks(networks);
         let mut cells = Vec::new();
         for app in [AppId::Ilink, AppId::Mgs] {
             let Some(w) = representative(args, app) else {
                 continue; // excluded by --app
             };
-            for p in spec.points() {
-                cells.push(
-                    Cell::new(
+            for protocol in [ProtocolMode::MultiWriter, ProtocolMode::home_based()] {
+                for network in networks {
+                    cells.push(cell(
+                        args,
                         &w,
-                        &p.label,
-                        p.unit,
-                        p.nprocs,
-                        spec.sched,
-                        args.diff_timing,
-                        p.protocol,
-                        EngineKind::default(),
-                    )
-                    .with_network(p.network)
-                    .with_racecheck(args.racecheck),
-                );
+                        "4K",
+                        UnitPolicy::Static { pages: 1 },
+                        args.nprocs,
+                        protocol,
+                        network,
+                    ));
+                }
             }
         }
         Experiment {
@@ -487,24 +470,16 @@ impl Experiment {
         let mut cells = Vec::new();
         for nprocs in sizes {
             for protocol in [ProtocolMode::MultiWriter, ProtocolMode::home_based()] {
-                for (label, unit) in [
-                    ("4K", UnitPolicy::Static { pages: 1 }),
-                    ("16K", UnitPolicy::Static { pages: 4 }),
-                ] {
-                    cells.push(
-                        Cell::new(
-                            &w,
-                            label,
-                            unit,
-                            nprocs,
-                            args.sched(),
-                            args.diff_timing,
-                            protocol,
-                            EngineKind::default(),
-                        )
-                        .with_network(args.network())
-                        .with_racecheck(args.racecheck),
-                    );
+                for (label, unit) in UNITS_4K_16K {
+                    cells.push(cell(
+                        args,
+                        &w,
+                        label,
+                        unit,
+                        nprocs,
+                        protocol,
+                        args.network(),
+                    ));
                 }
             }
         }

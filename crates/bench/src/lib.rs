@@ -13,14 +13,15 @@
 //! | `fig_network` | contention grid — topologies × wire aggregation |
 //! | `fig_scale` | cluster-size sweep — 64/256/1024 processors |
 //!
-//! Since PR 2 all binaries run through one shared **experiment
-//! engine**: [`Experiment`] declares the cell grid (application ×
-//! consistency-unit policy × processor count), [`runner`] executes it on a
-//! std-thread worker pool, and [`emit`] renders the result as the paper-style
-//! human report, a versioned JSON document or CSV (`--format`, `--out`).
-//! This library crate holds that engine plus the shared sweep and formatting
-//! code, so the binaries stay thin and the integration tests can exercise
-//! the same paths.
+//! All binaries run through one shared **experiment engine**, the only
+//! model of the evaluation grid: [`Experiment`] declares the cells
+//! (application × consistency-unit policy × processor count, plus the
+//! protocol and network axes), [`runner`] executes them on a std-thread
+//! worker pool, and [`emit`] renders the result as the paper-style human
+//! report, a versioned JSON document or CSV (`--format`, `--out`).  This
+//! library crate holds that engine, the command-line options the binaries
+//! share ([`BenchArgs`]) and the perf artifact ([`perf`]), so the binaries
+//! stay thin and the integration tests exercise the same paths.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -39,10 +40,9 @@ pub use perf::{
 pub use runner::{run_cell, run_experiment, CellResult, ExperimentResult, RunnerOptions};
 
 use tdsm_core::{
-    AggregationPolicy, DiffTiming, NetworkConfig, ProtocolMode, SchedConfig, SignatureHistogram,
-    Topology, UnitPolicy,
+    AggregationPolicy, DiffTiming, NetworkConfig, ProtocolMode, SchedConfig, Topology,
 };
-use tm_apps::{paper_unit_policies, AppConfig, AppId, Workload};
+use tm_apps::{AppId, Workload};
 use tm_sched::ScheduleMode;
 
 /// The workload tier a sweep runs at (`--scale`, with `--tiny` kept as an
@@ -85,97 +85,10 @@ impl std::str::FromStr for Scale {
     }
 }
 
-/// One measured configuration of one workload — a column of the paper's bar
-/// charts.
-#[derive(Debug, Clone)]
-pub struct FigRow {
-    /// Application name.
-    pub app: String,
-    /// Data-set label.
-    pub size: String,
-    /// Consistency-unit policy label ("4K", "8K", "16K", "Dyn").
-    pub policy: String,
-    /// Modeled parallel execution time (ns).
-    pub exec_time_ns: u64,
-    /// Useful messages.
-    pub useful_msgs: u64,
-    /// Useless messages.
-    pub useless_msgs: u64,
-    /// Useful data bytes.
-    pub useful_data: u64,
-    /// Piggybacked useless data bytes (useless data on useful messages).
-    pub piggybacked_useless: u64,
-    /// Useless data bytes carried in useless messages.
-    pub useless_in_useless: u64,
-    /// Consistency-unit faults.
-    pub faults: u64,
-    /// Verification checksum of the run.
-    pub checksum: f64,
-}
-
-impl FigRow {
-    /// Total messages.
-    pub fn total_msgs(&self) -> u64 {
-        self.useful_msgs + self.useless_msgs
-    }
-
-    /// Total classified data bytes.
-    pub fn total_data(&self) -> u64 {
-        self.useful_data + self.piggybacked_useless + self.useless_in_useless
-    }
-}
-
-/// Run one workload under one consistency-unit policy.
-pub fn run_configuration(w: &Workload, nprocs: usize, label: &str, unit: UnitPolicy) -> FigRow {
-    run_configuration_net(w, nprocs, label, unit, NetworkConfig::default())
-}
-
-/// [`run_configuration`] under an explicit modeled network.  Contended
-/// topologies change the modeled execution time (occupancy and queueing),
-/// never the checksum or the message counts.
-pub fn run_configuration_net(
-    w: &Workload,
-    nprocs: usize,
-    label: &str,
-    unit: UnitPolicy,
-    net: NetworkConfig,
-) -> FigRow {
-    let cfg = AppConfig::with_procs(nprocs)
-        .unit(unit)
-        .topology(net.topology)
-        .aggregation(net.aggregation);
-    let run = w.run_parallel(&cfg);
-    let b = &run.breakdown;
-    FigRow {
-        app: w.app.name().to_string(),
-        size: w.size_label.clone(),
-        policy: label.to_string(),
-        exec_time_ns: run.exec_time_ns,
-        useful_msgs: b.useful_messages,
-        useless_msgs: b.useless_messages,
-        useful_data: b.useful_data,
-        piggybacked_useless: b.piggybacked_useless_data,
-        useless_in_useless: b.useless_data_in_useless_msgs,
-        faults: b.faults,
-        checksum: run.checksum,
-    }
-}
-
-/// Run one workload under all four of the paper's unit policies
-/// (4 K / 8 K / 16 K / Dyn).
-pub fn run_policy_sweep(w: &Workload, nprocs: usize) -> Vec<FigRow> {
-    run_policy_sweep_net(w, nprocs, NetworkConfig::default())
-}
-
-/// [`run_policy_sweep`] under an explicit modeled network.
-pub fn run_policy_sweep_net(w: &Workload, nprocs: usize, net: NetworkConfig) -> Vec<FigRow> {
-    paper_unit_policies()
-        .into_iter()
-        .map(|(label, unit)| run_configuration_net(w, nprocs, &label, unit, net))
-        .collect()
-}
-
-fn norm(value: u64, baseline: u64) -> f64 {
+/// `value` normalized to `baseline`, the way the paper's figures normalize
+/// to the 4 KB configuration (a zero baseline maps zero to 1 and anything
+/// else to infinity).
+pub(crate) fn norm(value: u64, baseline: u64) -> f64 {
     if baseline == 0 {
         if value == 0 {
             1.0
@@ -185,166 +98,6 @@ fn norm(value: u64, baseline: u64) -> f64 {
     } else {
         value as f64 / baseline as f64
     }
-}
-
-/// Render one workload's sweep the way the paper's Figures 1 and 2 present
-/// it: execution time, messages and data normalized to the 4 KB
-/// configuration, with the useful/useless/piggybacked breakdown.
-pub fn figure_panel_string(rows: &[FigRow]) -> String {
-    use std::fmt::Write as _;
-    let base = rows
-        .iter()
-        .find(|r| r.policy == "4K")
-        .expect("sweep must contain the 4K baseline");
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "\n=== {} {} (normalized to 4K; absolute 4K: {:.1} ms, {} msgs, {} KB) ===",
-        base.app,
-        base.size,
-        base.exec_time_ns as f64 / 1e6,
-        base.total_msgs(),
-        base.total_data() / 1024
-    );
-    let _ = writeln!(
-        out,
-        "{:<6} {:>10} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12}",
-        "unit", "time", "msgs", "useless-msg", "data", "useful", "piggyback", "useless"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:<6} {:>10.3} {:>12.3} {:>12.3} {:>12.3} {:>12.3} {:>12.3} {:>12.3}",
-            r.policy,
-            norm(r.exec_time_ns, base.exec_time_ns),
-            norm(r.total_msgs(), base.total_msgs()),
-            norm(r.useless_msgs, base.total_msgs()),
-            norm(r.total_data(), base.total_data()),
-            norm(r.useful_data, base.total_data()),
-            norm(r.piggybacked_useless, base.total_data()),
-            norm(r.useless_in_useless, base.total_data()),
-        );
-    }
-    out
-}
-
-/// Print a figure panel to stdout (see [`figure_panel_string`]).
-pub fn print_figure_panel(rows: &[FigRow]) {
-    print!("{}", figure_panel_string(rows));
-}
-
-/// Emit the rows as CSV (machine-readable output for EXPERIMENTS.md).
-pub fn to_csv(rows: &[FigRow]) -> String {
-    let mut out = String::from(
-        "app,size,policy,exec_time_ms,useful_msgs,useless_msgs,useful_data,piggybacked_useless,useless_in_useless,faults\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{},{},{},{:.3},{},{},{},{},{},{}\n",
-            r.app,
-            r.size,
-            r.policy,
-            r.exec_time_ns as f64 / 1e6,
-            r.useful_msgs,
-            r.useless_msgs,
-            r.useful_data,
-            r.piggybacked_useless,
-            r.useless_in_useless,
-            r.faults
-        ));
-    }
-    out
-}
-
-/// One row of Table 1: modeled sequential time and the 8-processor speedup at
-/// the 4 KB consistency unit.
-#[derive(Debug, Clone)]
-pub struct Table1Row {
-    /// Application name.
-    pub app: String,
-    /// Data-set label.
-    pub size: String,
-    /// Modeled sequential (1-processor) execution time in ns.
-    pub seq_time_ns: u64,
-    /// Modeled 8-processor execution time at 4 KB units, in ns.
-    pub par_time_ns: u64,
-    /// Checksum agreement between the two runs.
-    pub verified: bool,
-}
-
-impl Table1Row {
-    /// Speedup = sequential time / parallel time.
-    pub fn speedup(&self) -> f64 {
-        if self.par_time_ns == 0 {
-            0.0
-        } else {
-            self.seq_time_ns as f64 / self.par_time_ns as f64
-        }
-    }
-}
-
-/// Produce one Table 1 row for a workload.
-pub fn table1_row(w: &Workload, nprocs: usize) -> Table1Row {
-    let seq_cfg = AppConfig::with_procs(1);
-    let par_cfg = AppConfig::with_procs(nprocs);
-    let seq = w.run_parallel(&seq_cfg);
-    let par = w.run_parallel(&par_cfg);
-    Table1Row {
-        app: w.app.name().to_string(),
-        size: w.size_label.clone(),
-        seq_time_ns: seq.exec_time_ns,
-        par_time_ns: par.exec_time_ns,
-        verified: tm_apps::checksums_match(par.checksum, seq.checksum, 1e-6),
-    }
-}
-
-/// The false-sharing signature of one workload under one policy (Figure 3).
-pub fn signature_of(w: &Workload, nprocs: usize, unit: UnitPolicy) -> SignatureHistogram {
-    let cfg = AppConfig::with_procs(nprocs).unit(unit);
-    let run = w.run_parallel(&cfg);
-    run.breakdown.signature
-}
-
-/// Render a signature histogram in the style of Figure 3: one line per
-/// concurrent-writer count with its frequency and useful/useless split.
-pub fn signature_string(app: &str, size: &str, policy: &str, sig: &SignatureHistogram) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "\n--- {app} {size} @ {policy} (mean writers {:.2}) ---",
-        sig.mean_writers()
-    );
-    let _ = writeln!(
-        out,
-        "{:>8} {:>10} {:>10} {:>10}",
-        "writers", "freq", "useful", "useless"
-    );
-    for k in 1..=sig.max_writers().max(1) {
-        let b = sig.bucket(k);
-        if b.faults == 0 {
-            continue;
-        }
-        let _ = writeln!(
-            out,
-            "{:>8} {:>10.3} {:>10} {:>10}",
-            k,
-            sig.frequency(k),
-            b.useful_exchanges,
-            b.useless_exchanges
-        );
-    }
-    out
-}
-
-/// Print a signature histogram to stdout (see [`signature_string`]).
-pub fn print_signature(app: &str, size: &str, policy: &str, sig: &SignatureHistogram) {
-    print!("{}", signature_string(app, size, policy, sig));
-}
-
-/// The four applications whose signatures Figure 3 shows.
-pub fn figure3_apps() -> Vec<AppId> {
-    vec![AppId::Barnes, AppId::Ilink, AppId::Water, AppId::Mgs]
 }
 
 /// Parse a `--seed` value: decimal, or hexadecimal with a `0x` prefix.
@@ -585,8 +338,9 @@ impl BenchArgs {
     /// request: the `--format` rendering to stdout, plus a machine-readable
     /// copy to `--out` when given (the binaries' single driver entry point).
     /// Returns the result for further inspection.  Exits with status 2 when
-    /// `--app` names an application the experiment does not cover.
-    pub fn run_and_emit(&self, exp: &Experiment) -> std::io::Result<ExperimentResult> {
+    /// `--app` names an application the experiment does not cover, and with
+    /// status 1 when the `--out` file cannot be written.
+    pub fn run_and_emit(&self, exp: &Experiment) -> ExperimentResult {
         if let Some(app) = self.app.filter(|_| exp.cells.is_empty()) {
             eprintln!(
                 "error: --app {} matches no cell of experiment '{}'",
@@ -608,11 +362,14 @@ impl BenchArgs {
                 OutputFormat::Human => OutputFormat::Json,
                 f => f,
             };
-            std::fs::write(path, render(&result, file_format))?;
+            if let Err(e) = std::fs::write(path, render(&result, file_format)) {
+                eprintln!("error: failed to write {path}: {e}");
+                std::process::exit(1);
+            }
             eprintln!("wrote {path}");
         }
         print!("{}", render(&result, self.format));
-        Ok(result)
+        result
     }
 
     /// The workloads of `app` under these options: its data sets at the
@@ -651,30 +408,6 @@ mod tests {
         assert_eq!(norm(0, 0), 1.0);
         assert_eq!(norm(5, 10), 0.5);
         assert!(norm(5, 0).is_infinite());
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let row = FigRow {
-            app: "X".into(),
-            size: "s".into(),
-            policy: "4K".into(),
-            exec_time_ns: 1_000_000,
-            useful_msgs: 2,
-            useless_msgs: 1,
-            useful_data: 10,
-            piggybacked_useless: 5,
-            useless_in_useless: 3,
-            faults: 4,
-            checksum: 0.0,
-        };
-        let csv = to_csv(&[row]);
-        assert_eq!(csv.lines().count(), 2);
-        assert!(csv
-            .lines()
-            .nth(1)
-            .unwrap()
-            .starts_with("X,s,4K,1.000,2,1,10,5,3,4"));
     }
 
     #[test]
@@ -886,17 +619,5 @@ mod tests {
         assert!(err(&["--diff-timing", "sometimes"]).contains("unknown diff timing"));
         assert!(err(&["--protocol", "token-ring"]).contains("unknown protocol"));
         assert!(err(&["--app", "Pong"]).contains("unknown application"));
-    }
-
-    #[test]
-    fn table1_row_speedup_math() {
-        let row = Table1Row {
-            app: "X".into(),
-            size: "s".into(),
-            seq_time_ns: 800,
-            par_time_ns: 200,
-            verified: true,
-        };
-        assert_eq!(row.speedup(), 4.0);
     }
 }

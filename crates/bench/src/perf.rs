@@ -2,11 +2,11 @@
 //! regression gate.
 //!
 //! The optimization work needs a way to *stay* fast: this module measures
-//! a fixed set of host-side timings — median wall times of the same micro
-//! workloads the criterion bench targets (`diffing`, `primitives`,
-//! `aggregation`) exercise, plus the wall time of the canonical
-//! `fig2 4 --scale large --app Jacobi` sweep — and emits them as a small
-//! versioned JSON document.  The `bench` binary produces the artifact; CI
+//! a fixed set of host-side timings — median wall times of the micro
+//! workloads defined here and shared with the criterion bench targets
+//! (`diffing`, `primitives`, `aggregation`), plus the wall time of the
+//! canonical `fig2 4 --scale large --app Jacobi` cells — and emits them as
+//! a small versioned JSON document.  The `bench` binary produces the artifact; CI
 //! regenerates it on every PR and [`compare_reports`] fails the job when any
 //! tracked timing regresses by more than [`DEFAULT_TOLERANCE`] against the
 //! checked-in baseline.
@@ -26,11 +26,11 @@ use std::time::Instant;
 
 use serde::json::Value;
 use serde::{field_arr, field_f64, field_str, field_u64, FromJson, JsonSchemaError, ToJson};
-use tdsm_core::{DiffTiming, NetworkConfig, SchedConfig, Topology, UnitPolicy};
-use tm_apps::{jacobi, AppConfig, AppId, Workload};
+use tdsm_core::{Align, CostModel, DiffTiming, Dsm, DsmConfig, SchedConfig, Topology, UnitPolicy};
+use tm_apps::{jacobi, AppConfig, AppId};
 use tm_page::{Diff, LocalPage, PageId};
 
-use crate::run_policy_sweep_net;
+use crate::{run_experiment, BenchArgs, Experiment, RunnerOptions, Scale};
 
 /// Identifier of the perf-artifact schema; bumped on breaking changes.
 pub const PERF_SCHEMA: &str = "tm-bench/perf/v1";
@@ -64,17 +64,17 @@ pub struct SweepSample {
     pub id: String,
     /// Host wall time of the whole sweep, in milliseconds.
     pub wall_ms: f64,
-    /// Number of rows (unit policies) the sweep produced.
+    /// Number of cells (one per unit policy) the sweep ran.
     pub rows: u64,
-    /// Sum of modeled execution times over all rows, in nanoseconds.
+    /// Sum of modeled execution times over all cells, in nanoseconds.
     pub exec_time_ns: u64,
-    /// Sum of total messages over all rows.
+    /// Sum of total messages over all cells.
     pub total_msgs: u64,
-    /// Sum of classified data bytes over all rows.
+    /// Sum of classified data bytes over all cells.
     pub total_data: u64,
-    /// Sum of consistency-unit faults over all rows.
+    /// Sum of consistency-unit faults over all cells.
     pub faults: u64,
-    /// Rotating fold of the rows' checksum bit patterns, as hex (a plain
+    /// Rotating fold of the cells' checksum bit patterns, as hex (a plain
     /// XOR would self-cancel: every policy produces the same checksum).
     pub checksum: String,
 }
@@ -162,9 +162,72 @@ fn hex(d: u64) -> String {
     format!("{d:016x}")
 }
 
-/// The micro suite: the same workloads the criterion targets in
-/// `benches/{diffing,primitives,aggregation}.rs` time, measured here with a
-/// plain median-of-N timer so one binary can produce the whole artifact.
+/// The inputs of the diff micro workloads, as `(twin, sparse, dense)`: a
+/// zeroed 4 KB twin, the same page with every 16th word modified, and a
+/// fully overwritten page.
+pub fn diff_inputs() -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+    let twin = vec![0u8; 4096];
+    let mut sparse = twin.clone();
+    for w in (0..1024).step_by(16) {
+        sparse[w * 4] = 1;
+    }
+    (twin, sparse, vec![0xAAu8; 4096])
+}
+
+/// The twin-creation micro workload: dirty the first 64 bytes of `page`,
+/// then take its twin.  Returns whether a twin was created.
+pub fn dirty_and_twin(page: &mut LocalPage) -> bool {
+    page.write_bytes(0, &[1u8; 64]);
+    page.ensure_twin()
+}
+
+/// Configuration of the Jacobi diffing micro workload: 4 processors,
+/// scheduler seed `0x6c`, the given diff timing, on `topology`.
+pub fn jacobi_micro_config(timing: DiffTiming, topology: Topology) -> AppConfig {
+    AppConfig::with_procs(4)
+        .sched(SchedConfig::seeded(0x6c))
+        .diff_timing(timing)
+        .topology(topology)
+}
+
+/// The 4-processor cluster the aggregation micro workloads run on: 64
+/// shared pages, 16 locks, the paper's cost model, under `unit` on
+/// `topology`.
+pub fn micro_dsm_config(unit: UnitPolicy, topology: Topology) -> DsmConfig {
+    DsmConfig {
+        nprocs: 4,
+        page_size: 4096,
+        shared_pages: 64,
+        unit,
+        cost: CostModel::pentium_ethernet_1997(),
+        max_locks: 16,
+        sched: SchedConfig::default(),
+        topology,
+        ..DsmConfig::paper_default()
+    }
+}
+
+/// The producer/consumer micro workload: rank 0 writes `pages` pages of
+/// `u64`s, and after a barrier every processor reads the whole region back
+/// (aggregation-friendly).  Returns rank 1's sum.
+pub fn producer_consumer(unit: UnitPolicy, pages: usize, topology: Topology) -> u64 {
+    let mut dsm = Dsm::new(micro_dsm_config(unit, topology));
+    let arr = dsm.alloc_array::<u64>(pages * 512, Align::Page);
+    let out = dsm.run(async |ctx| {
+        if ctx.rank() == 0 {
+            let vals: Vec<u64> = (0..arr.len() as u64).collect();
+            arr.write_slice(ctx, 0, &vals).await;
+        }
+        ctx.barrier().await;
+        arr.read_vec(ctx, 0, arr.len()).await.iter().sum::<u64>()
+    });
+    out.results[1]
+}
+
+/// The micro suite: the workloads above, which the criterion targets in
+/// `benches/{diffing,primitives,aggregation}.rs` time too, measured here
+/// with a plain median-of-N timer so one binary can produce the whole
+/// artifact.
 fn collect_micro(opts: &PerfOptions) -> Vec<MicroSample> {
     let mut out = Vec::new();
     let iters = opts.iters;
@@ -172,14 +235,8 @@ fn collect_micro(opts: &PerfOptions) -> Vec<MicroSample> {
     // median is well above timer resolution.
     let reps = if opts.quick { 8 } else { 64 };
 
-    // -- primitives: diff creation / application / twin, as in
-    //    benches/primitives.rs --
-    let twin = vec![0u8; 4096];
-    let mut sparse = twin.clone();
-    for w in (0..1024).step_by(16) {
-        sparse[w * 4] = 1;
-    }
-    let dense = vec![0xAAu8; 4096];
+    // -- primitives: diff creation / application / twin --
+    let (twin, sparse, dense) = diff_inputs();
 
     let mut push = |id: &str, (m, d): (u64, u64)| {
         out.push(MicroSample {
@@ -229,17 +286,14 @@ fn collect_micro(opts: &PerfOptions) -> Vec<MicroSample> {
         median_ns(iters, || {
             let mut d = 0u64;
             for _ in 0..reps {
-                let mut page = LocalPage::new_zeroed(4096);
-                page.write_bytes(0, &[1u8; 64]);
-                page.ensure_twin();
+                dirty_and_twin(&mut LocalPage::new_zeroed(4096));
                 d += 1;
             }
             d
         }),
     );
 
-    // -- diffing: the lazy-timing Jacobi run of benches/diffing.rs --
-    let sched = SchedConfig::seeded(0x6c);
+    // -- diffing: the lazy-timing Jacobi run --
     let (jacobi_id, jacobi_size) = if opts.quick {
         (
             "diffing/jacobi_tiny_4procs_lazy",
@@ -251,10 +305,7 @@ fn collect_micro(opts: &PerfOptions) -> Vec<MicroSample> {
             jacobi::JacobiSize::small(),
         )
     };
-    let cfg = AppConfig::with_procs(4)
-        .sched(sched)
-        .diff_timing(DiffTiming::Lazy)
-        .topology(opts.topology);
+    let cfg = jacobi_micro_config(DiffTiming::Lazy, opts.topology);
     push(
         jacobi_id,
         median_ns(iters, || {
@@ -262,68 +313,55 @@ fn collect_micro(opts: &PerfOptions) -> Vec<MicroSample> {
         }),
     );
 
-    // -- aggregation: the dynamic-aggregation producer/consumer of
-    //    benches/aggregation.rs (scaled down in quick mode) --
+    // -- aggregation: the dynamic-aggregation producer/consumer (scaled
+    //    down in quick mode) --
     let agg_pages = if opts.quick { 4 } else { 16 };
     let agg_id = if opts.quick {
         "aggregation/producer_consumer_dyn_4pages"
     } else {
         "aggregation/producer_consumer_dyn_16pages"
     };
+    let dynamic = UnitPolicy::Dynamic { max_group_pages: 4 };
     push(
         agg_id,
         median_ns(iters, || {
-            use tdsm_core::{Align, CostModel, Dsm, DsmConfig};
-            let mut dsm = Dsm::new(DsmConfig {
-                nprocs: 4,
-                page_size: 4096,
-                shared_pages: 64,
-                unit: UnitPolicy::Dynamic { max_group_pages: 4 },
-                cost: CostModel::pentium_ethernet_1997(),
-                max_locks: 16,
-                sched: SchedConfig::default(),
-                topology: opts.topology,
-                ..DsmConfig::paper_default()
-            });
-            let arr = dsm.alloc_array::<u64>(agg_pages * 512, Align::Page);
-            let out = dsm.run(async |ctx| {
-                if ctx.rank() == 0 {
-                    let vals: Vec<u64> = (0..arr.len() as u64).collect();
-                    arr.write_slice(ctx, 0, &vals).await;
-                }
-                ctx.barrier().await;
-                arr.read_vec(ctx, 0, arr.len()).await.iter().sum::<u64>()
-            });
-            out.results[1]
+            producer_consumer(dynamic, agg_pages, opts.topology)
         }),
     );
 
     out
 }
 
-/// Run the canonical sweep — the four-policy Jacobi sweep `fig2` runs with
-/// `4 --scale large --app Jacobi` (tiny in quick mode) — and record its wall
-/// time plus deterministic totals.
+/// Run the canonical sweep — the four `fig2` cells of
+/// `fig2 4 --scale large --app Jacobi` (tiny in quick mode) — and record its
+/// wall time plus deterministic totals.  The cells run one after another on
+/// the calling thread, so the wall time measures the simulator, not the
+/// worker pool.
 fn collect_sweep(opts: &PerfOptions) -> SweepSample {
-    let nprocs = 4;
-    let (scale, w) = if opts.quick {
-        ("tiny", Workload::tiny(AppId::Jacobi))
-    } else {
-        ("large", Workload::large(AppId::Jacobi))
+    let args = BenchArgs {
+        nprocs: 4,
+        scale: if opts.quick {
+            Scale::Tiny
+        } else {
+            Scale::Large
+        },
+        topology: opts.topology,
+        app: Some(AppId::Jacobi),
+        ..BenchArgs::defaults(4)
     };
+    let exp = Experiment::fig2(&args);
     let t0 = Instant::now();
-    let net = NetworkConfig::new(opts.topology, Default::default());
-    let rows = run_policy_sweep_net(&w, nprocs, net);
+    let cells = run_experiment(&exp, &RunnerOptions { threads: 1 }).cells;
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     SweepSample {
-        id: format!("fig2/Jacobi/{scale}/{nprocs}procs"),
+        id: format!("fig2/Jacobi/{}/{}procs", args.scale.as_str(), args.nprocs),
         wall_ms,
-        rows: rows.len() as u64,
-        exec_time_ns: rows.iter().map(|r| r.exec_time_ns).sum(),
-        total_msgs: rows.iter().map(|r| r.total_msgs()).sum(),
-        total_data: rows.iter().map(|r| r.total_data()).sum(),
-        faults: rows.iter().map(|r| r.faults).sum(),
-        checksum: hex(rows
+        rows: cells.len() as u64,
+        exec_time_ns: cells.iter().map(|r| r.exec_time_ns).sum(),
+        total_msgs: cells.iter().map(|r| r.breakdown.total_messages()).sum(),
+        total_data: cells.iter().map(|r| r.breakdown.total_payload()).sum(),
+        faults: cells.iter().map(|r| r.breakdown.faults).sum(),
+        checksum: hex(cells
             .iter()
             .fold(0u64, |acc, r| acc.rotate_left(17) ^ r.checksum.to_bits())),
     }

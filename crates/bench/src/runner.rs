@@ -24,7 +24,6 @@ use tdsm_core::{CommBreakdown, GcCounters, LinkStats, RaceRecord};
 use tm_apps::AppConfig;
 
 use crate::experiment::{Cell, Experiment};
-use crate::FigRow;
 
 /// How to execute an experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,26 +68,6 @@ pub struct CellResult {
     /// Host wall-clock time spent simulating this cell (ns) — the harness's
     /// own perf trajectory, not a paper quantity.
     pub host_wall_ns: u64,
-}
-
-impl CellResult {
-    /// Project onto the flat figure row used by the panel renderer and CSV.
-    pub fn fig_row(&self) -> FigRow {
-        let b = &self.breakdown;
-        FigRow {
-            app: self.cell.app.name().to_string(),
-            size: self.cell.size_label.clone(),
-            policy: self.cell.policy_label.clone(),
-            exec_time_ns: self.exec_time_ns,
-            useful_msgs: b.useful_messages,
-            useless_msgs: b.useless_messages,
-            useful_data: b.useful_data,
-            piggybacked_useless: b.piggybacked_useless_data,
-            useless_in_useless: b.useless_data_in_useless_msgs,
-            faults: b.faults,
-            checksum: self.checksum,
-        }
-    }
 }
 
 /// The outcome of one experiment run: results in cell-definition order plus

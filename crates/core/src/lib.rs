@@ -60,10 +60,7 @@ pub mod vc;
 
 pub use aggregation::DynamicAggregator;
 pub use cluster::{record_decision_traces, DecisionTrace, Dsm, RunOutput};
-pub use config::{
-    engine_from_json, sched_from_json, sched_to_json, DiffTiming, DsmConfig, SweepPoint, SweepSpec,
-    UnitPolicy,
-};
+pub use config::{engine_from_json, DiffTiming, DsmConfig, UnitPolicy};
 pub use handle::{GArray, GMatrix, GScalar, SharedVal};
 pub use interval::{
     FetchedDiff, IntervalId, IntervalLog, IntervalRecord, LogCounters, WriteNotice,

@@ -1,46 +1,84 @@
-//! Smoke tests of the benchmark harness (`tm-bench`): the sweep, table and
-//! signature machinery must run end-to-end and produce internally consistent
-//! rows.  Uses reduced processor counts so the whole file stays fast in
-//! debug builds; the full-scale figures are produced by the release binaries.
+//! Smoke tests of the benchmark harness (`tm-bench`): the experiment
+//! runner must drive the paper's policy sweep, Table 1 and the signature
+//! machinery end-to-end and produce internally consistent cells.  Uses
+//! reduced processor counts so the whole file stays fast in debug builds;
+//! the full-scale figures are produced by the release binaries.
 
-use tdsm_core::UnitPolicy;
 use tm_apps::{AppId, Workload};
-use tm_bench::{run_configuration, run_policy_sweep, signature_of, table1_row, to_csv};
+use tm_bench::{
+    render, run_cell, run_experiment, BenchArgs, CellResult, Experiment, OutputFormat,
+    RunnerOptions,
+};
+
+/// Options for the paper data sets of `app` on `nprocs` processors.
+fn paper_args(app: AppId, nprocs: usize) -> BenchArgs {
+    BenchArgs {
+        nprocs,
+        app: Some(app),
+        ..BenchArgs::defaults(nprocs)
+    }
+}
+
+/// Keep only the cells of `exp` that run workload `w`, in order.
+fn only(mut exp: Experiment, w: &Workload) -> Experiment {
+    exp.cells
+        .retain(|c| c.app == w.app && c.size_label == w.size_label);
+    assert!(!exp.cells.is_empty(), "no cell of {} runs {w:?}", exp.name);
+    exp
+}
+
+/// Run the cell of `exp` labelled `policy`.
+fn run_policy(exp: &Experiment, policy: &str) -> CellResult {
+    let cell = exp
+        .cells
+        .iter()
+        .find(|c| c.policy_label == policy)
+        .unwrap_or_else(|| panic!("no {policy} cell in {}", exp.name));
+    run_cell(cell)
+}
 
 #[test]
 fn policy_sweep_produces_all_four_configurations() {
-    // TSP at its standard size is the cheapest full workload to drive here.
+    // Jacobi's first paper data set is the cheapest full workload to drive here.
     let w = &Workload::for_app(AppId::Jacobi)[0];
-    let rows = run_policy_sweep(w, 2);
+    let exp = only(Experiment::fig2(&paper_args(w.app, 2)), w);
+    let result = run_experiment(&exp, &RunnerOptions::default());
+    let rows = &result.cells;
     assert_eq!(rows.len(), 4);
-    let labels: Vec<&str> = rows.iter().map(|r| r.policy.as_str()).collect();
+    let labels: Vec<&str> = rows.iter().map(|r| r.cell.policy_label.as_str()).collect();
     assert_eq!(labels, vec!["4K", "8K", "16K", "Dyn"]);
     // All configurations computed the same checksum.
-    for r in &rows {
+    for r in rows {
         assert!((r.checksum - rows[0].checksum).abs() <= 1e-9 * rows[0].checksum.abs());
-        assert_eq!(r.total_msgs(), r.useful_msgs + r.useless_msgs);
+        let b = &r.breakdown;
+        assert_eq!(b.total_messages(), b.useful_messages + b.useless_messages);
         assert_eq!(
-            r.total_data(),
-            r.useful_data + r.piggybacked_useless + r.useless_in_useless
+            b.total_payload(),
+            b.useful_data + b.piggybacked_useless_data + b.useless_data_in_useless_msgs
         );
     }
     // CSV export covers every row plus the header.
-    let csv = to_csv(&rows);
+    let csv = render(&result, OutputFormat::Csv);
     assert_eq!(csv.lines().count(), 5);
 }
 
 #[test]
 fn table1_row_reports_speedup_and_verification() {
     let w = &Workload::for_app(AppId::Fft3d)[0];
-    let row = table1_row(w, 4);
+    let exp = only(Experiment::table1(&paper_args(w.app, 4)), w);
+    let result = run_experiment(&exp, &RunnerOptions::default());
+    let [seq, par] = &result.cells[..] else {
+        panic!("table1 runs a 1- and a 4-processor cell per workload");
+    };
+    assert_eq!((seq.cell.nprocs, par.cell.nprocs), (1, 4));
     assert!(
-        row.verified,
+        tm_apps::checksums_match(par.checksum, seq.checksum, 1e-6),
         "parallel checksum must match the 1-processor run"
     );
-    assert!(row.seq_time_ns > 0);
-    assert!(row.par_time_ns > 0);
+    assert!(seq.exec_time_ns > 0);
+    assert!(par.exec_time_ns > 0);
     assert!(
-        row.speedup() > 1.0,
+        seq.exec_time_ns as f64 / par.exec_time_ns as f64 > 1.0,
         "4 processors should beat 1 processor for 3D-FFT"
     );
 }
@@ -51,8 +89,9 @@ fn signatures_shift_right_for_mgs_but_not_for_ilink() {
     // shifts towards more concurrent writers when the unit grows, Ilink's
     // does not (materially).
     let mgs = &Workload::for_app(AppId::Mgs)[1]; // the 1K-element-vector set
-    let mgs_4k = signature_of(mgs, 4, UnitPolicy::Static { pages: 1 });
-    let mgs_16k = signature_of(mgs, 4, UnitPolicy::Static { pages: 4 });
+    let exp = only(Experiment::fig2(&paper_args(mgs.app, 4)), mgs);
+    let mgs_4k = run_policy(&exp, "4K").breakdown.signature;
+    let mgs_16k = run_policy(&exp, "16K").breakdown.signature;
     assert!(
         mgs_16k.mean_writers() > mgs_4k.mean_writers() + 0.5,
         "MGS signature must shift right: {} -> {}",
@@ -61,8 +100,9 @@ fn signatures_shift_right_for_mgs_but_not_for_ilink() {
     );
 
     let ilink = &Workload::for_app(AppId::Ilink)[0];
-    let il_4k = signature_of(ilink, 4, UnitPolicy::Static { pages: 1 });
-    let il_16k = signature_of(ilink, 4, UnitPolicy::Static { pages: 4 });
+    let exp = only(Experiment::fig1(&paper_args(ilink.app, 4)), ilink);
+    let il_4k = run_policy(&exp, "4K").breakdown.signature;
+    let il_16k = run_policy(&exp, "16K").breakdown.signature;
     assert!(
         (il_16k.mean_writers() - il_4k.mean_writers()).abs() < 1.0,
         "Ilink signature must stay roughly invariant: {} -> {}",
@@ -172,6 +212,22 @@ fn engine_flag_is_a_usage_error() {
     }
 }
 
+/// An `--out` path that cannot be written is reported once, as an error
+/// naming the path, with exit status 1 — not a panic.
+#[test]
+fn unwritable_out_path_exits_1() {
+    // A regular file used as a directory: no environment can write here.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/x.json");
+    let output = run_bench_bin("fig2", &["--tiny", "--out", path]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!("error: failed to write {path}: ")),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
 /// Run the `tm-bench` binary `bin` with `args` and capture its output.
 ///
 /// `cargo run` rather than probing target/ for a prebuilt artifact: it
@@ -214,14 +270,18 @@ fn dynamic_aggregation_never_explodes_useless_messages() {
     // The §4 claim: the dynamic scheme tracks the best static choice and in
     // particular avoids MGS's useless-message explosion at large units.
     let mgs = &Workload::for_app(AppId::Mgs)[1];
-    let base = run_configuration(mgs, 4, "4K", UnitPolicy::Static { pages: 1 });
-    let large = run_configuration(mgs, 4, "16K", UnitPolicy::Static { pages: 4 });
-    let dynamic = run_configuration(mgs, 4, "Dyn", UnitPolicy::Dynamic { max_group_pages: 4 });
-    assert!(large.useless_msgs > base.useless_msgs, "16K must hurt MGS");
+    let exp = only(Experiment::fig2(&paper_args(mgs.app, 4)), mgs);
+    let base = run_policy(&exp, "4K").breakdown;
+    let large = run_policy(&exp, "16K").breakdown;
+    let dynamic = run_policy(&exp, "Dyn").breakdown;
     assert!(
-        dynamic.useless_msgs <= base.useless_msgs + base.total_msgs() / 10,
+        large.useless_messages > base.useless_messages,
+        "16K must hurt MGS"
+    );
+    assert!(
+        dynamic.useless_messages <= base.useless_messages + base.total_messages() / 10,
         "dynamic aggregation must not introduce MGS's useless messages: {} vs {}",
-        dynamic.useless_msgs,
-        base.useless_msgs
+        dynamic.useless_messages,
+        base.useless_messages
     );
 }
