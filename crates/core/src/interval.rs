@@ -15,7 +15,7 @@ use crate::fasthash::FastHashMap;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-use tm_page::{Diff, PageId, RunSpan};
+use tm_page::{Diff, PageId};
 
 use crate::config::DiffTiming;
 use crate::vc::VectorClock;
@@ -166,23 +166,7 @@ pub struct IntervalLog {
     /// cached merge serves all of them.
     merged: FastHashMap<PageId, MergedChain>,
     counters: LogCounters,
-    /// Retired record shells (pages cleared, clock allocation intact) ready
-    /// for the next [`publish`](Self::publish): the owner takes one through
-    /// [`take_retired_record`](Self::take_retired_record) instead of
-    /// allocating a fresh page list and vector clock per interval.
-    record_pool: Vec<IntervalRecord>,
-    /// Span/payload buffers salvaged from retired diffs (the ones nobody
-    /// else still holds), fed back into diff encoding through
-    /// [`take_diff_buffers`](Self::take_diff_buffers).
-    buffer_pool: Vec<(Vec<RunSpan>, Vec<u8>)>,
 }
-
-/// Bounds on the recycled-state pools: enough to cover the steady state of
-/// a barrier episode (records live at most one episode, and each episode's
-/// publishes reuse the previous episode's retirements) without letting a
-/// one-off burst pin its high-water mark forever.
-const RECORD_POOL_CAP: usize = 64;
-const BUFFER_POOL_CAP: usize = 512;
 
 impl IntervalLog {
     /// Create an empty log.
@@ -215,51 +199,13 @@ impl IntervalLog {
         self.counters
     }
 
-    /// Take a retired record shell for reuse (empty page list with its old
-    /// capacity, clock allocation intact), if any is pooled.  The caller
-    /// overwrites `id` and `vc` and refills `pages` before publishing.
-    pub fn take_retired_record(&mut self) -> Option<IntervalRecord> {
-        self.record_pool.pop()
-    }
-
-    /// Steal the whole recycled span/payload buffer pool (one lock instead
-    /// of one per dirty page): the owner pops pairs off it while encoding
-    /// an interval's diffs and hands the leftovers back through
-    /// [`restore_buffer_pool`](Self::restore_buffer_pool).
-    pub fn take_buffer_pool(&mut self) -> Vec<(Vec<RunSpan>, Vec<u8>)> {
-        std::mem::take(&mut self.buffer_pool)
-    }
-
-    /// Return the unused remainder of a stolen buffer pool.  Pairs past the
-    /// pool cap (or arriving after retirements refilled the pool) are
-    /// dropped.
-    pub fn restore_buffer_pool(&mut self, pool: Vec<(Vec<RunSpan>, Vec<u8>)>) {
-        if self.buffer_pool.is_empty() {
-            self.buffer_pool = pool;
-            self.buffer_pool.truncate(BUFFER_POOL_CAP);
-        } else {
-            let room = BUFFER_POOL_CAP.saturating_sub(self.buffer_pool.len());
-            self.buffer_pool.extend(pool.into_iter().take(room));
-        }
-    }
-
     /// Publish a closed interval together with the diffs of the pages it
-    /// wrote.  `seq` must be exactly one past the previously published
-    /// interval.  Under [`DiffTiming::Eager`] the diffs are already
-    /// materialized; under [`DiffTiming::Lazy`] they sit unmaterialized
-    /// until the first [`fetch_diff`](Self::fetch_diff).
+    /// wrote, draining `diffs` in place so the caller keeps the vector's
+    /// capacity for its next interval close.  `seq` must be exactly one past
+    /// the previously published interval.  Under [`DiffTiming::Eager`] the
+    /// diffs are already materialized; under [`DiffTiming::Lazy`] they sit
+    /// unmaterialized until the first [`fetch_diff`](Self::fetch_diff).
     pub fn publish(
-        &mut self,
-        record: IntervalRecord,
-        mut diffs: Vec<(PageId, Arc<Diff>)>,
-        timing: DiffTiming,
-    ) {
-        self.publish_drain(record, &mut diffs, timing);
-    }
-
-    /// [`publish`](Self::publish) draining `diffs` in place, so the caller
-    /// keeps the vector's capacity for its next interval close.
-    pub fn publish_drain(
         &mut self,
         record: IntervalRecord,
         diffs: &mut Vec<(PageId, Arc<Diff>)>,
@@ -463,33 +409,19 @@ impl IntervalLog {
             return 0;
         }
         // Chain merges whose newest member sinks below the new watermark can
-        // never be requested again (fetch chains only cover live intervals):
-        // evicting them first both frees the merge and un-pins the
-        // underlying stored diffs so the salvage below can reclaim them.
+        // never be requested again (fetch chains only cover live intervals),
+        // so they are evicted with the diffs they merged.
         let watermark = self.retired + n as u32;
         self.merged
             .retain(|_, m| m.seqs.last().is_some_and(|&s| s > watermark));
-        for mut record in self.records.drain(..n) {
+        for record in self.records.drain(..n) {
             for &page in &record.pages {
-                if let Some(stored) = self.diffs.remove(&(page, record.id.seq)) {
+                if self.diffs.remove(&(page, record.id.seq)).is_some() {
                     self.counters.diffs_retired += 1;
-                    // Salvage the retired diff's heap buffers for the next
-                    // publishes — best-effort: a diff still pinned by the
-                    // merged-chain cache or an in-flight fetch is just
-                    // dropped (its buffers die with the last clone).
-                    if self.buffer_pool.len() < BUFFER_POOL_CAP {
-                        if let Ok(diff) = Arc::try_unwrap(stored.diff) {
-                            self.buffer_pool.push(diff.into_buffers());
-                        }
-                    }
                 }
             }
             self.retired = record.id.seq;
             self.counters.intervals_retired += 1;
-            if self.record_pool.len() < RECORD_POOL_CAP {
-                record.pages.clear();
-                self.record_pool.push(record);
-            }
         }
         n as u64
     }
@@ -529,7 +461,7 @@ mod tests {
         let diff = diff_of(3, 8);
         log.publish(
             record(0, 1, 2, &[3, 4]),
-            vec![(PageId(3), diff.clone())],
+            &mut vec![(PageId(3), diff.clone())],
             DiffTiming::Eager,
         );
         assert_eq!(log.len(), 1);
@@ -547,7 +479,7 @@ mod tests {
         let mut log = IntervalLog::new();
         log.publish(
             record(0, 1, 2, &[3]),
-            vec![(PageId(3), diff_of(3, 8))],
+            &mut vec![(PageId(3), diff_of(3, 8))],
             DiffTiming::Eager,
         );
         let fetched = log.fetch_diff(PageId(3), 1).unwrap();
@@ -562,7 +494,7 @@ mod tests {
         let payload = diff.payload_bytes();
         log.publish(
             record(0, 1, 2, &[3]),
-            vec![(PageId(3), diff)],
+            &mut vec![(PageId(3), diff)],
             DiffTiming::Lazy,
         );
         let first = log.fetch_diff(PageId(3), 1).unwrap();
@@ -578,7 +510,7 @@ mod tests {
     fn records_between_windows() {
         let mut log = IntervalLog::new();
         for seq in 1..=5 {
-            log.publish(record(1, seq, 2, &[seq]), vec![], DiffTiming::Lazy);
+            log.publish(record(1, seq, 2, &[seq]), &mut vec![], DiffTiming::Lazy);
         }
         assert_eq!(log.records_between(0, 5).len(), 5);
         assert_eq!(log.records_between(2, 4).len(), 2);
@@ -593,7 +525,7 @@ mod tests {
         for seq in 1..=5 {
             log.publish(
                 record(1, seq, 2, &[seq]),
-                vec![(PageId(seq), diff_of(seq, 8))],
+                &mut vec![(PageId(seq), diff_of(seq, 8))],
                 DiffTiming::Lazy,
             );
         }
@@ -612,7 +544,7 @@ mod tests {
         // Retiring again below the watermark is a no-op.
         assert_eq!(log.retire_up_to(3), 0);
         // Publication continues seamlessly after retirement.
-        log.publish(record(1, 6, 2, &[6]), vec![], DiffTiming::Lazy);
+        log.publish(record(1, 6, 2, &[6]), &mut vec![], DiffTiming::Lazy);
         assert_eq!(log.published(), 6);
         // Retire everything, including not-yet-covered requests capped at
         // the live tail.
@@ -637,6 +569,6 @@ mod tests {
     #[should_panic(expected = "contiguous")]
     fn non_contiguous_publish_is_rejected_in_debug() {
         let mut log = IntervalLog::new();
-        log.publish(record(0, 2, 2, &[]), vec![], DiffTiming::Lazy);
+        log.publish(record(0, 2, 2, &[]), &mut vec![], DiffTiming::Lazy);
     }
 }

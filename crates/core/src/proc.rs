@@ -128,9 +128,6 @@ pub struct ProcCtx {
     /// Reusable `(page, diff)` staging vector for interval publication; the
     /// log drains it in place so its capacity survives across closes.
     diff_scratch: Vec<(PageId, Arc<Diff>)>,
-    /// One recycled span/payload buffer pair for the home-based flush path,
-    /// whose diffs die as soon as they are applied to the master copy.
-    home_diff_buf: (Vec<tm_page::RunSpan>, Vec<u8>),
     /// Reusable byte staging buffer for the typed accessors in `handle.rs`.
     /// Lives on the context (taken/restored around each access) rather than
     /// in a thread-local: every simulated processor shares one host thread,
@@ -179,7 +176,6 @@ impl ProcCtx {
             notices_since_barrier: 0,
             notice_scratch: Vec::new(),
             diff_scratch: Vec::new(),
-            home_diff_buf: (Vec::new(), Vec::new()),
             byte_scratch: Vec::new(),
             marked_end_ns: None,
         }
@@ -690,12 +686,10 @@ impl ProcCtx {
             if *solo {
                 // A merged chain is its page's only entry in the batch (its
                 // page had a single pending writer), so no cover tracking is
-                // needed: apply it whole.  The deferred path parks whole-page
-                // payloads instead of copying them — GC validation flushes
-                // repeatedly redeliver pages the next flush overwrites.
+                // needed: apply it whole.
                 self.store
                     .page_mut(diff.page)
-                    .apply_diff_deferred(diff, *exchange_id);
+                    .apply_diff(diff, *exchange_id);
                 continue;
             }
             let (cov, set) = cover
@@ -898,22 +892,7 @@ impl ProcCtx {
             self.close_interval_home();
             return;
         }
-        // Recycle the previous episode's retired state: a record shell (page
-        // list + clock allocation) and the span/payload buffers of retired
-        // diffs, all from this processor's own log.
-        let (mut record, mut pool) = {
-            let mut log = self.world.logs[self.rank.index()].borrow_mut();
-            (log.take_retired_record(), log.take_buffer_pool())
-        };
-        let mut record = record.take().unwrap_or_else(|| IntervalRecord {
-            id: IntervalId {
-                proc: self.rank.0,
-                seq: 0,
-            },
-            vc: VectorClock::zero(0),
-            pages: Vec::new(),
-        });
-        debug_assert!(record.pages.is_empty(), "pooled record shells are clear");
+        let mut pages = Vec::new();
         let mut diffs = std::mem::take(&mut self.diff_scratch);
         let page_size = self.layout.page_size() as u64;
         let eager = self.diff_timing == DiffTiming::Eager;
@@ -922,11 +901,9 @@ impl ProcCtx {
         // afterwards.
         let mut dirty = std::mem::take(&mut self.dirty_pages);
         for &page in &dirty {
-            let (spans, packed) = pool.pop().unwrap_or_default();
             let lp = self.store.page_mut(page);
-
             let diff = lp
-                .make_diff_in(page, spans, packed)
+                .make_diff(page)
                 .expect("dirty page must have a twin at interval close");
             lp.drop_twin();
             self.meta[page.index()].dirty = false;
@@ -938,53 +915,47 @@ impl ProcCtx {
             self.clock.advance(self.cost.protection_op_ns);
             if diff.is_empty() {
                 // The page was written with values identical to the twin's;
-                // nothing to propagate (the buffers go straight back).
-                pool.push(diff.into_buffers());
+                // nothing to propagate.
                 continue;
             }
             if eager {
                 self.stats.diffs_created += 1;
                 self.stats.diff_bytes_created += diff.payload_bytes();
             }
-            record.pages.push(page);
+            pages.push(page);
             diffs.push((page, Arc::new(diff)));
         }
         dirty.clear();
         self.dirty_pages = dirty;
-        self.world.logs[self.rank.index()]
-            .borrow_mut()
-            .restore_buffer_pool(pool);
-        self.publish_interval(record, &mut diffs);
+        self.publish_interval(pages, &mut diffs);
         self.diff_scratch = diffs;
     }
 
     /// Shared tail of both protocols' interval closes: bump the local
-    /// vector-clock entry, stamp and publish the prepared record (with
-    /// whatever diffs the protocol stores in the log — none under
-    /// home-based) and account the notices.  No-op when the interval
-    /// produced no notices (an all-silent-writes close); the record shell
-    /// is then dropped, not pooled — the next close simply allocates.
-    fn publish_interval(
-        &mut self,
-        mut record: IntervalRecord,
-        diffs: &mut Vec<(PageId, Arc<Diff>)>,
-    ) {
-        if record.pages.is_empty() {
+    /// vector-clock entry, build and publish the interval record of the
+    /// written `pages` (with whatever diffs the protocol stores in the
+    /// log — none under home-based) and account the notices.  No-op when
+    /// the interval produced no notices (an all-silent-writes close).
+    fn publish_interval(&mut self, pages: Vec<PageId>, diffs: &mut Vec<(PageId, Arc<Diff>)>) {
+        if pages.is_empty() {
             debug_assert!(diffs.is_empty(), "diffs without write notices");
             return;
         }
         let seq = self.vc.get(self.rank.index()) + 1;
         self.vc.set(self.rank.index(), seq);
-        record.id = IntervalId {
-            proc: self.rank.0,
-            seq,
+        let record = IntervalRecord {
+            id: IntervalId {
+                proc: self.rank.0,
+                seq,
+            },
+            vc: self.vc.clone(),
+            pages,
         };
-        record.vc.copy_from(&self.vc);
         self.notices_since_barrier += record.pages.len() as u64;
         self.stats.intervals_closed += 1;
         self.world.logs[self.rank.index()]
             .borrow_mut()
-            .publish_drain(record, diffs, self.diff_timing);
+            .publish(record, diffs, self.diff_timing);
     }
 
     /// Home-based interval close: diff every dirty *non-home* page against
@@ -1001,18 +972,7 @@ impl ProcCtx {
     /// inherently eager (the flush happens at close, on the writer).
     fn close_interval_home(&mut self) {
         let page_size = self.layout.page_size() as u64;
-        let mut record = self.world.logs[self.rank.index()]
-            .borrow_mut()
-            .take_retired_record()
-            .unwrap_or_else(|| IntervalRecord {
-                id: IntervalId {
-                    proc: self.rank.0,
-                    seq: 0,
-                },
-                vc: VectorClock::zero(0),
-                pages: Vec::new(),
-            });
-        debug_assert!(record.pages.is_empty(), "pooled record shells are clear");
+        let mut pages = Vec::new();
         // Per home contacted: total diff wire bytes of this flush.
         let mut flushes: BTreeMap<u32, u64> = BTreeMap::new();
         let world = Rc::clone(&self.world);
@@ -1030,29 +990,24 @@ impl ProcCtx {
                 // The master copy is already current (write-through); the
                 // notice is published unconditionally — without a twin the
                 // home cannot tell a silent rewrite from a real change.
-                record.pages.push(page);
+                pages.push(page);
                 continue;
             }
-            // The flushed diff dies at the end of this iteration, so one
-            // recycled buffer pair serves the whole loop.
-            let (spans, packed) = std::mem::take(&mut self.home_diff_buf);
             let lp = self.store.page_mut(page);
             let diff = lp
-                .make_diff_in(page, spans, packed)
+                .make_diff(page)
                 .expect("dirty non-home page must have a twin at interval close");
             lp.drop_twin();
             self.clock.advance(self.cost.diff_create_cost(page_size));
             if diff.is_empty() {
                 // Rewrote the twin's values: nothing to flush or announce.
-                self.home_diff_buf = diff.into_buffers();
                 continue;
             }
             self.stats.diffs_created += 1;
             self.stats.diff_bytes_created += diff.payload_bytes();
             *flushes.entry(home_rank).or_insert(0) += diff.wire_bytes();
             dir.store_mut().apply_diff(&diff);
-            record.pages.push(page);
-            self.home_diff_buf = diff.into_buffers();
+            pages.push(page);
         }
         dirty.clear();
         self.dirty_pages = dirty;
@@ -1102,9 +1057,8 @@ impl ProcCtx {
             }
         }
 
-        let mut diffs = std::mem::take(&mut self.diff_scratch);
-        self.publish_interval(record, &mut diffs);
-        self.diff_scratch = diffs;
+        // No diffs: the log is pure notice book-keeping here.
+        self.publish_interval(pages, &mut Vec::new());
     }
 
     /// Incorporate the write notices of every interval of processor `writer`

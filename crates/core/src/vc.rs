@@ -84,14 +84,6 @@ impl VectorClock {
         self.entries[p] >= seq
     }
 
-    /// Overwrite this clock with `other`'s entries, reusing the existing
-    /// allocation (pooled interval records recycle their clocks through
-    /// this instead of a fresh `clone` per published interval).
-    pub fn copy_from(&mut self, other: &VectorClock) {
-        self.entries.clear();
-        self.entries.extend_from_slice(&other.entries);
-    }
-
     /// Pointwise maximum with `other` (incorporating everything it covers).
     pub fn merge(&mut self, other: &VectorClock) {
         debug_assert_eq!(self.entries.len(), other.entries.len());

@@ -27,8 +27,7 @@
 //! each receiver pays for bytes it did not ask for: aggregation re-creates
 //! the paper's useless-data effect at the message layer.
 
-use serde::json::Value;
-use serde::{Deserialize, FromJson, JsonSchemaError, Serialize, ToJson};
+use serde::{Deserialize, Serialize};
 
 /// The shape of the simulated interconnect (see the module docs).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -86,20 +85,6 @@ impl std::fmt::Display for Topology {
     }
 }
 
-impl ToJson for Topology {
-    fn to_json(&self) -> Value {
-        Value::Str(self.as_str().to_string())
-    }
-}
-
-impl FromJson for Topology {
-    fn from_json(v: &Value) -> Result<Self, JsonSchemaError> {
-        v.as_str()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| JsonSchemaError::new("topology", "a known topology name"))
-    }
-}
-
 /// How write notices and diff flushes are packed onto the wire.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum AggregationPolicy {
@@ -147,20 +132,6 @@ impl std::fmt::Display for AggregationPolicy {
     }
 }
 
-impl ToJson for AggregationPolicy {
-    fn to_json(&self) -> Value {
-        Value::Str(self.as_str().to_string())
-    }
-}
-
-impl FromJson for AggregationPolicy {
-    fn from_json(v: &Value) -> Result<Self, JsonSchemaError> {
-        v.as_str()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| JsonSchemaError::new("aggregation", "a known aggregation policy"))
-    }
-}
-
 /// A topology plus an aggregation policy — the network half of a run's
 /// configuration, grouped so sweeps can carry the pair as one axis value.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -196,55 +167,14 @@ impl NetworkConfig {
     }
 }
 
-impl ToJson for NetworkConfig {
-    fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("topology", self.topology.to_json()),
-            ("aggregation", self.aggregation.to_json()),
-        ])
-    }
-}
-
-impl FromJson for NetworkConfig {
-    fn from_json(v: &Value) -> Result<Self, JsonSchemaError> {
-        Ok(NetworkConfig {
-            // Both halves are additive: an absent field means the default,
-            // so pre-topology documents parse unchanged.
-            topology: match v.get("topology") {
-                None => Topology::default(),
-                Some(t) => Topology::from_json(t)?,
-            },
-            aggregation: match v.get("aggregation") {
-                None => AggregationPolicy::default(),
-                Some(a) => AggregationPolicy::from_json(a)?,
-            },
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn network_config_json_round_trips() {
-        for topology in [Topology::Ideal, Topology::SharedBus, Topology::Switched] {
-            for aggregation in [AggregationPolicy::PerMessage, AggregationPolicy::Batched] {
-                let n = NetworkConfig::new(topology, aggregation);
-                assert_eq!(NetworkConfig::from_json(&n.to_json()).unwrap(), n);
-            }
-        }
-        // An empty object parses to the compatibility default.
-        let empty = Value::obj(vec![]);
-        assert!(NetworkConfig::from_json(&empty).unwrap().is_default());
-    }
-
-    #[test]
     fn topology_names_round_trip() {
         for t in [Topology::Ideal, Topology::SharedBus, Topology::Switched] {
             assert_eq!(t.as_str().parse::<Topology>().unwrap(), t);
-            let j = t.to_json();
-            assert_eq!(Topology::from_json(&j).unwrap(), t);
             assert_eq!(t.to_string(), t.as_str());
         }
         assert_eq!(
@@ -259,8 +189,7 @@ mod tests {
     fn aggregation_names_round_trip() {
         for a in [AggregationPolicy::PerMessage, AggregationPolicy::Batched] {
             assert_eq!(a.as_str().parse::<AggregationPolicy>().unwrap(), a);
-            let j = a.to_json();
-            assert_eq!(AggregationPolicy::from_json(&j).unwrap(), a);
+            assert_eq!(a.to_string(), a.as_str());
         }
         assert_eq!(
             "batch".parse::<AggregationPolicy>().unwrap(),

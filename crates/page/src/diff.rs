@@ -14,7 +14,7 @@
 //!
 //! Dense diffs go one step further and skip the payload copy entirely: a
 //! diff published at interval close can *borrow* the page image itself
-//! ([`Payload::Page`], an `Arc`-shared snapshot) with its spans indexing
+//! (`Payload::Page`, an `Arc`-shared snapshot) with its spans indexing
 //! the image by page offset.  The owning processor detaches
 //! (copy-on-next-write) only if it writes the page again in a later
 //! interval, so the common publish-then-move-on pattern never copies the
@@ -109,124 +109,31 @@ impl Diff {
         diff
     }
 
-    /// Like [`create`](Self::create), but seeded with a dirty-word bitset
-    /// (bit `w % 64` of `dirty[w / 64]` set ⇒ word `w` *may* have changed
-    /// since the twin was made).  The bitset is a **superset** filter: words
-    /// whose bit is clear are known untouched and are skipped without being
-    /// read, while flagged words are still compared against the twin, so a
-    /// word rewritten with its old value never enters the diff.  The encoded
-    /// output is therefore bit-identical to a full [`create`](Self::create)
-    /// scan.
-    ///
-    /// # Panics
-    /// Panics on length mismatch, unaligned size, or a bitset shorter than
-    /// the page's word count.
-    pub fn create_from_dirty(page: PageId, twin: &[u8], current: &[u8], dirty: &[u64]) -> Diff {
-        assert_eq!(twin.len(), current.len(), "twin/current size mismatch");
-        assert_eq!(twin.len() % WORD_SIZE, 0, "page size must be word aligned");
-        let words = twin.len() / WORD_SIZE;
-        assert!(dirty.len() * 64 >= words, "dirty bitset shorter than page");
-        let mut diff = Diff {
-            page,
-            spans: Vec::new(),
-            payload: Payload::Packed(Vec::new()),
-        };
-        // A run can only span words that actually differ, and differing
-        // words are always flagged dirty, so runs never cross an all-clear
-        // block. Scanning each maximal span of non-empty blocks as one unit
-        // keeps runs maximal exactly as the full scan would.
-        let blocks = words.div_ceil(64);
-        let mut b = 0;
-        while b < blocks {
-            if dirty[b] == 0 {
-                b += 1;
-                continue;
-            }
-            let span = b;
-            while b < blocks && dirty[b] != 0 {
-                b += 1;
-            }
-            scan_words(twin, current, span * 64, (b * 64).min(words), &mut diff);
-        }
-        diff
-    }
-
     /// Build a diff directly from an **exact** changed-word bitset (bit
-    /// `w % 64` of `changed[w / 64]` set ⇔ word `w` of `current` differs
-    /// from its value when the interval started).  No compare scan happens:
-    /// runs are extracted straight from the bits and the payload is copied
-    /// from `current` in one packed pass.  With an exact bitset — as
-    /// maintained by the write path's per-word pre-image tracking — the
-    /// output is bit-identical to [`create`](Self::create) against the
-    /// interval-start twin.
-    ///
-    /// # Panics
-    /// Panics on an unaligned page size or a bitset shorter than the page's
-    /// word count.
-    pub fn from_changed(page: PageId, current: &[u8], changed: &[u64]) -> Diff {
-        assert_eq!(
-            current.len() % WORD_SIZE,
-            0,
-            "page size must be word aligned"
-        );
-        let words = current.len() / WORD_SIZE;
-        assert!(
-            changed.len() * 64 >= words,
-            "changed bitset shorter than page"
-        );
-        let spans = spans_from_bits(changed);
-        let payload = Payload::Packed(pack_payload(&spans, current));
-        Diff {
-            page,
-            spans,
-            payload,
-        }
-    }
-
-    /// Like [`from_changed`](Self::from_changed), but built against an
-    /// `Arc`-shared snapshot of the page image.  Dense diffs (payload at
-    /// least half the page) skip the packed copy and borrow the snapshot
-    /// itself; sparse diffs still pack, so a few changed words never pin a
-    /// whole page in memory.  The encoded runs are bit-identical to
-    /// [`from_changed`](Self::from_changed) either way.
+    /// `w % 64` of `changed[w / 64]` set ⇔ word `w` of `image` differs from
+    /// its value when the interval started).  No compare scan happens: runs
+    /// are extracted straight from the bits, so the output is bit-identical
+    /// to [`create`](Self::create) against the interval-start twin.  Dense
+    /// diffs (payload at least half the page) borrow the `Arc`-shared image
+    /// itself; sparse diffs copy their runs into a packed payload, so a few
+    /// changed words never pin a whole page in memory.
     ///
     /// # Panics
     /// Panics on an unaligned page size or a bitset shorter than the page's
     /// word count.
     pub fn from_changed_shared(page: PageId, image: &Arc<[u8]>, changed: &[u64]) -> Diff {
-        Self::from_changed_shared_in(page, image, changed, Vec::new(), Vec::new())
-    }
-
-    /// [`from_changed_shared`](Self::from_changed_shared) with
-    /// caller-recycled buffers: `spans` and `packed` (both logically empty;
-    /// any stale contents are cleared) provide the capacity for the span
-    /// table and, if the diff packs, the payload.  Interval-log pools feed
-    /// retired diffs' buffers back through here, which removes the two
-    /// steady-state allocations of publishing a dirty page.
-    ///
-    /// # Panics
-    /// Panics on an unaligned page size or a bitset shorter than the page's
-    /// word count.
-    pub fn from_changed_shared_in(
-        page: PageId,
-        image: &Arc<[u8]>,
-        changed: &[u64],
-        mut spans: Vec<RunSpan>,
-        mut packed: Vec<u8>,
-    ) -> Diff {
         assert_eq!(image.len() % WORD_SIZE, 0, "page size must be word aligned");
         let words = image.len() / WORD_SIZE;
         assert!(
             changed.len() * 64 >= words,
             "changed bitset shorter than page"
         );
-        spans_from_bits_into(changed, &mut spans);
+        let spans = spans_from_bits(changed);
         let total: usize = spans.iter().map(|s| s.len as usize).sum();
         let payload = if total * 2 >= image.len() && total > 0 {
             Payload::Page(Arc::clone(image))
         } else {
-            pack_payload_into(&spans, image, &mut packed);
-            Payload::Packed(packed)
+            Payload::Packed(pack_payload(&spans, image))
         };
         Diff {
             page,
@@ -235,35 +142,9 @@ impl Diff {
         }
     }
 
-    /// Tear the diff into its reusable heap buffers — the span table and,
-    /// for owned payloads, the packed byte buffer — both cleared but with
-    /// their capacity intact, for pooling back into
-    /// [`from_changed_shared_in`](Self::from_changed_shared_in).  A shared
-    /// page-snapshot payload is simply dropped (releasing the snapshot) and
-    /// yields an empty byte buffer.
-    pub fn into_buffers(mut self) -> (Vec<RunSpan>, Vec<u8>) {
-        self.spans.clear();
-        let packed = match self.payload {
-            Payload::Packed(mut v) => {
-                v.clear();
-                v
-            }
-            Payload::Page(_) => Vec::new(),
-        };
-        (self.spans, packed)
-    }
-
-    /// True when the payload borrows a shared page snapshot rather than
-    /// owning a packed copy (observable for tests and accounting only —
-    /// the logical runs are identical either way).
-    #[inline]
-    pub fn shares_page_image(&self) -> bool {
-        matches!(self.payload, Payload::Page(_))
-    }
-
     /// The shared page snapshot, when this diff rewrites the *entire* page
     /// out of one: a single run at offset 0 covering every byte of a
-    /// [`Payload::Page`] image.  Receivers then adopt the snapshot `Arc`
+    /// `Payload::Page` image.  Receivers then adopt the snapshot `Arc`
     /// wholesale instead of copying the page — their contents after
     /// adoption are bit-identical to an [`apply`](Self::apply), because the
     /// lone run *is* the image.
@@ -414,20 +295,6 @@ impl Diff {
             .map(|s| s.end() as usize)
             .max()
             .unwrap_or(0);
-        // A diff whose single run spans the whole covered range rewrites
-        // every word any older diff touches, so the chain can be truncated
-        // to its last such entry.  Flush and GC chains on regularly written
-        // pages are wall-to-wall rewrites, which turns their merge into a
-        // clone — an `Arc` bump when the payload is a shared page snapshot.
-        let chain = match chain.iter().rposition(
-            |d| matches!(d.spans.as_slice(), [s] if s.offset == 0 && s.end() as usize == end),
-        ) {
-            Some(i) => &chain[i..],
-            None => chain,
-        };
-        if let [only] = chain {
-            return (*only).clone();
-        }
         let mut cover = vec![0u64; (end / WORD_SIZE).div_ceil(64)];
         let mut buf = vec![0u8; end];
         let mut fresh: Vec<(u32, u32)> = Vec::new();
@@ -540,13 +407,6 @@ pub fn subtract_cover(
 /// is exactly what a word-by-word scan of the same set would produce.
 fn spans_from_bits(bits: &[u64]) -> Vec<RunSpan> {
     let mut spans: Vec<RunSpan> = Vec::new();
-    spans_from_bits_into(bits, &mut spans);
-    spans
-}
-
-/// [`spans_from_bits`] writing into a recycled span buffer (cleared first).
-fn spans_from_bits_into(bits: &[u64], spans: &mut Vec<RunSpan>) {
-    spans.clear();
     for (b, &block) in bits.iter().enumerate() {
         let mut m = block;
         while m != 0 {
@@ -564,25 +424,18 @@ fn spans_from_bits_into(bits: &[u64], spans: &mut Vec<RunSpan>) {
             m &= !(((1u64 << (len / WORD_SIZE as u32)) - 1) << start);
         }
     }
+    spans
 }
 
 /// Copy the spans' bytes out of `source` (indexed by page offset) into one
 /// packed payload buffer, allocated exactly once at its final size.
 fn pack_payload(spans: &[RunSpan], source: &[u8]) -> Vec<u8> {
-    let mut payload = Vec::new();
-    pack_payload_into(spans, source, &mut payload);
-    payload
-}
-
-/// [`pack_payload`] writing into a recycled buffer (cleared, then reserved
-/// to the payload's final size in one step).
-fn pack_payload_into(spans: &[RunSpan], source: &[u8], payload: &mut Vec<u8>) {
     let total: usize = spans.iter().map(|s| s.len as usize).sum();
-    payload.clear();
-    payload.reserve(total);
+    let mut payload = Vec::with_capacity(total);
     for s in spans {
         payload.extend_from_slice(&source[s.offset as usize..s.end() as usize]);
     }
+    payload
 }
 
 /// Scan words `[from, to)` of `twin`/`current` and append every maximal run
@@ -749,37 +602,6 @@ mod tests {
     }
 
     #[test]
-    fn dirty_seeded_scan_matches_full_scan_and_filters_clean_blocks() {
-        // 512 words; touch words in three places, including a pair straddling
-        // a 64-word block boundary so span merging is exercised.
-        let twin = page_of(|i| (i % 249) as u8, 2048);
-        let mut cur = twin.clone();
-        for w in [3usize, 63, 64, 65, 200, 201, 202, 511] {
-            cur[w * WORD_SIZE] ^= 0x5A;
-        }
-        let mut dirty = vec![0u64; 8];
-        for w in [3usize, 63, 64, 65, 200, 201, 202, 511] {
-            dirty[w / 64] |= 1 << (w % 64);
-        }
-        // Flag some untouched words too: the bitset is a superset filter.
-        dirty[0] |= 1 << 10;
-        dirty[3] |= 0xFF;
-        let full = Diff::create(PageId(4), &twin, &cur);
-        let seeded = Diff::create_from_dirty(PageId(4), &twin, &cur, &dirty);
-        assert_eq!(full, seeded);
-        assert_eq!(full, Diff::create_naive(PageId(4), &twin, &cur));
-    }
-
-    #[test]
-    fn dirty_bit_set_but_word_unchanged_stays_out_of_the_diff() {
-        let twin = vec![9u8; 256];
-        let cur = twin.clone();
-        let dirty = vec![!0u64; 1];
-        let d = Diff::create_from_dirty(PageId(0), &twin, &cur, &dirty);
-        assert!(d.is_empty());
-    }
-
-    #[test]
     fn from_changed_exact_bits_match_compare_scan() {
         let twin = page_of(|i| (i % 241) as u8, 1024);
         let mut cur = twin.clone();
@@ -790,13 +612,7 @@ mod tests {
         for w in [0usize, 1, 62, 63, 64, 120, 255] {
             changed[w / 64] |= 1 << (w % 64);
         }
-        let d = Diff::from_changed(PageId(2), &cur, &changed);
+        let d = Diff::from_changed_shared(PageId(2), &Arc::from(&cur[..]), &changed);
         assert_eq!(d, Diff::create(PageId(2), &twin, &cur));
-    }
-
-    #[test]
-    #[should_panic(expected = "shorter than page")]
-    fn short_dirty_bitset_panics() {
-        Diff::create_from_dirty(PageId(0), &[0u8; 512], &[0u8; 512], &[0u64; 1]);
     }
 }

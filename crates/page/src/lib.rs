@@ -150,10 +150,8 @@ mod proptests {
             }
         }
 
-        /// The optimized word-integer scan and the dirty-bitset-seeded scan
-        /// are both equivalent to the original naive per-word slice-compare
-        /// implementation, for any page pair and any *superset* bitset of
-        /// the changed words.
+        /// The optimized word-integer scan is equivalent to the original
+        /// naive per-word slice-compare implementation, for any page pair.
         #[test]
         fn diff_create_equivalent_to_naive(twin in word_aligned_page(), seed in any::<u64>()) {
             let mut current = twin.clone();
@@ -164,41 +162,18 @@ mod proptests {
                     *b = (state >> 40) as u8 ^ (i as u8);
                 }
             }
-            let words = twin.len() / WORD_SIZE;
-            // Exact dirty set of the changed words...
-            let mut dirty = vec![0u64; words.div_ceil(64)];
-            for w in 0..words {
-                if twin[w * WORD_SIZE..(w + 1) * WORD_SIZE]
-                    != current[w * WORD_SIZE..(w + 1) * WORD_SIZE]
-                {
-                    dirty[w / 64] |= 1 << (w % 64);
-                }
-            }
-            // ...plus pseudo-random over-approximation (superset is legal).
-            let mut superset = dirty.clone();
-            for (i, block) in superset.iter_mut().enumerate() {
-                state = state.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
-                if state % 2 == 0 {
-                    *block |= state.rotate_left(i as u32);
-                }
-            }
-            // Mask stray bits past the last word so the bitset stays valid.
-            if words % 64 != 0 {
-                let last = superset.len() - 1;
-                superset[last] &= (1u64 << (words % 64)) - 1;
-            }
-
             let naive = Diff::create_naive(PageId(3), &twin, &current);
             prop_assert_eq!(&Diff::create(PageId(3), &twin, &current), &naive);
-            prop_assert_eq!(&Diff::create_from_dirty(PageId(3), &twin, &current, &dirty), &naive);
-            prop_assert_eq!(&Diff::create_from_dirty(PageId(3), &twin, &current, &superset), &naive);
         }
 
-        /// The virtual-twin write path (per-word pre-image tracking) must
-        /// yield diffs bit-identical to an eager twin copy plus compare
-        /// scan, under any sequence of overlapping, unaligned and
-        /// value-restoring writes — including words whose original value is
-        /// restored across several partial writes.
+        /// The twinned write path (changed bits recomputed against the twin
+        /// at every store) must yield diffs bit-identical to an eager twin
+        /// copy plus compare scan, under any sequence of overlapping,
+        /// unaligned and value-restoring writes — including words whose
+        /// original value is restored across several partial writes — and
+        /// of deliveries landing on the twinned page between them: diffs
+        /// applied whole or through their visible intervals, and whole-page
+        /// loads.
         #[test]
         fn tracked_writes_match_eager_twin_compare(
             seed in any::<u64>(),
@@ -211,12 +186,11 @@ mod proptests {
             let mut store = PageStore::new(PageLayout::new(page_size, 1));
             let p = store.page_mut(PageId(0));
             let mut state = seed | 1;
-            let init: Vec<u8> = (0..page_size)
-                .map(|i| {
-                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    (state >> 33) as u8 ^ i as u8
-                })
-                .collect();
+            let mut next = move || {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                state >> 33
+            };
+            let init: Vec<u8> = (0..page_size).map(|i| next() as u8 ^ i as u8).collect();
             p.write_bytes(0, &init);
             p.ensure_twin();
             let twin = p.bytes().to_vec();
@@ -224,16 +198,55 @@ mod proptests {
             for (off0, data) in &writes {
                 let len = data.len().min(page_size);
                 let off = (*off0).min(page_size - len);
-                state = state.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
-                // A third of the writes restore the pre-interval bytes, so
+                // A third of the stores restore the pre-interval bytes, so
                 // the exact-tracking bit-clearing path is exercised.
-                let src: Vec<u8> = if state % 3 == 0 {
+                let src: Vec<u8> = if next() % 3 == 0 {
                     twin[off..off + len].to_vec()
                 } else {
                     data[..len].to_vec()
                 };
-                p.write_bytes(off, &src);
-                reference[off..off + len].copy_from_slice(&src);
+                // The delivered content: the current page with `src` stored
+                // at `off`, or (sometimes) every byte rewritten, so
+                // whole-page diffs occur.
+                let mut target = reference.clone();
+                if next() % 4 == 0 {
+                    for b in target.iter_mut() {
+                        *b = !*b;
+                    }
+                }
+                target[off..off + len].copy_from_slice(&src);
+                match next() % 8 {
+                    0 => {
+                        p.apply_diff(&Diff::create(PageId(0), &reference, &target), NO_EXCHANGE);
+                        reference = target;
+                    }
+                    1 => {
+                        // Claim a pseudo-random set of words for "later"
+                        // diffs; this one lands only where it stays visible.
+                        let diff = Diff::create(PageId(0), &reference, &target);
+                        let mut cover: Vec<u64> = (0..page_size / WORD_SIZE / 64)
+                            .map(|_| if next() % 2 == 0 { 0 } else { next() << 31 ^ next() })
+                            .collect();
+                        let mut visible = Vec::new();
+                        for span in diff.spans() {
+                            subtract_cover(span.offset, span.len as usize, &mut cover, &mut visible);
+                        }
+                        p.apply_diff_visible(&diff, 7, &visible);
+                        for &(lo, hi) in &visible {
+                            let (lo, hi) = (lo as usize, hi as usize);
+                            reference[lo..hi].copy_from_slice(&target[lo..hi]);
+                        }
+                    }
+                    2 => {
+                        p.load_page(&target, 9);
+                        reference = target;
+                    }
+                    _ => {
+                        p.write_bytes(off, &src);
+                        reference[off..off + len].copy_from_slice(&src);
+                    }
+                }
+                prop_assert!(p.has_twin());
             }
             prop_assert_eq!(p.bytes(), &reference[..]);
             let tracked = p.make_diff(PageId(0)).unwrap();
@@ -247,12 +260,11 @@ mod proptests {
         /// the copy-on-next-write path ([`LocalPage::make_diff`], which may
         /// borrow the page image) and once eagerly from a twin copy
         /// ([`Diff::create`]) — and both must encode the same runs, apply to
-        /// the same bytes, and deliver identically through the whole-page
-        /// adoption, deferred-park and recycled-buffer paths.  Published
-        /// diffs are retired (dropped) pseudo-randomly between intervals so
-        /// the owning page flips between shared and uniquely-owned images,
-        /// exercising the detach ("copy" of copy-on-next-write) and the
-        /// free exact pre-image it enables.
+        /// the same bytes, and deliver identically through whole-page
+        /// adoption.  Published diffs are retired (dropped) pseudo-randomly
+        /// between intervals so the owning page flips between shared and
+        /// uniquely-owned images, exercising the detach ("copy" of
+        /// copy-on-next-write) both before and after the twin is taken.
         #[test]
         fn snapshot_sharing_matches_eager_payloads(
             seed in any::<u64>(),
@@ -284,10 +296,9 @@ mod proptests {
             // Simulated interval log: published diffs stay alive (pinning
             // the writer's image) until "GC" drops them below.
             let mut log: Vec<Arc<Diff>> = Vec::new();
-            let mut pool: Vec<(Vec<RunSpan>, Vec<u8>)> = Vec::new();
             let mut scratch = vec![0u8; page_size];
 
-            for (k, writes) in intervals.iter().enumerate() {
+            for writes in &intervals {
                 let twin = writer.bytes().to_vec();
                 writer.ensure_twin();
                 for (off0, data) in writes {
@@ -310,26 +321,13 @@ mod proptests {
                 let eager = Diff::create(PageId(0), &twin, writer.bytes());
                 if let Some(shared) = writer.make_diff(PageId(0)) {
                     prop_assert_eq!(&shared, &eager);
-                    // Recycled span/payload buffers change nothing.
-                    let (spans, packed) = pool.pop().unwrap_or_default();
-                    let recycled = writer.make_diff_in(PageId(0), spans, packed).unwrap();
-                    prop_assert_eq!(&recycled, &eager);
-                    pool.push(recycled.into_buffers());
 
-                    // Delivery: alternate the eager and the parked
-                    // (deferred) apply paths; both must land the receiver on
-                    // the mirror that eager application produces.
+                    // Delivery (whole-page snapshots are adopted by
+                    // reference) must land the receiver on the mirror that
+                    // eager application produces.
                     eager.apply(&mut mirror);
                     let shared = Arc::new(shared);
-                    if k % 2 == 0 {
-                        receiver.apply_diff(&shared, NO_EXCHANGE);
-                    } else {
-                        receiver.apply_diff_deferred(&shared, NO_EXCHANGE);
-                        // Force materialization (bytes() asserts no parked
-                        // content) through the read path.
-                        receiver.read_bytes(0, &mut scratch, |_, _| {});
-                        prop_assert_eq!(&scratch[..], &mirror[..]);
-                    }
+                    receiver.apply_diff(&shared, NO_EXCHANGE);
                     prop_assert_eq!(receiver.bytes(), &mirror[..]);
                     log.push(shared);
                 } else {
@@ -337,15 +335,10 @@ mod proptests {
                 }
                 writer.drop_twin();
 
-                // GC: retire a pseudo-random prefix of the published diffs,
-                // salvaging their buffers exactly as the interval log does.
+                // GC: retire a pseudo-random prefix of the published diffs.
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 let keep = (state % (log.len() as u64 + 1)) as usize;
-                for retired in log.drain(..log.len() - keep) {
-                    if let Ok(diff) = Arc::try_unwrap(retired) {
-                        pool.push(diff.into_buffers());
-                    }
-                }
+                log.drain(..log.len() - keep);
             }
             // Final contents agree across all three representations.
             prop_assert_eq!(writer.bytes(), &mirror[..]);

@@ -7,7 +7,7 @@
 //! (useful data) or never read before being overwritten or the end of the run
 //! (useless data).
 
-use crate::diff::{subtract_cover, Diff, RunSpan};
+use crate::diff::Diff;
 use crate::layout::{GlobalAddr, PageId, PageLayout, WORD_SIZE};
 use std::sync::Arc;
 
@@ -16,45 +16,31 @@ use std::sync::Arc;
 pub const NO_EXCHANGE: u32 = u32::MAX;
 
 /// One hardware page as held by one processor: current contents, the
-/// interval's write-detection state (a *virtual twin*), and per-word
-/// delivery attribution.
+/// interval's twin, and per-word delivery attribution.
 ///
-/// The twin of the multiple-writer protocol is maintained lazily: instead of
-/// copying the whole page at the first write, the write path compares each
-/// stored word against its previous contents and saves the pre-interval
-/// value of exactly the words that change.  The changed-word bitset is
-/// therefore *exact* (a word whose original value is later restored leaves
-/// the set again), so diff creation never has to re-scan the page — it
-/// extracts runs straight from the bitset.  The resulting diffs are
-/// bit-identical to a twin-compare: a word is in the diff iff its content
-/// differs from the page content at `ensure_twin` time.
+/// The twin of the multiple-writer protocol is a snapshot of the page image
+/// taken at the first write of an interval.  The image is `Arc`-shared, so
+/// taking the twin is a reference-count bump: the first store then detaches
+/// the image (the classic twin copy), and every store recomputes the changed
+/// bits of the words it touched by comparing them against the twin.  The
+/// changed-word bitset is therefore *exact* (a word whose original value is
+/// later restored leaves the set again), so diff creation never has to
+/// re-scan the page — it extracts runs straight from the bitset.  The
+/// resulting diffs are bit-identical to a twin-compare.
 ///
-/// The page image itself is `Arc`-shared so a dense diff published at
-/// interval close can borrow it outright (no payload copy; see
-/// [`Diff::from_changed_shared`]).  The image is copy-on-next-write: any
-/// later mutation detaches it first — except a *whole-page* store, which
-/// builds the new image straight from the source, and so never pays the
-/// detach copy.  While the image is still shared at `ensure_twin` time it
-/// is, by construction, exactly the pre-interval contents, so it doubles as
-/// a free whole-page pre-image (`pre_exact`): the write path then skips all
-/// per-word pre-image saves and derives changed bits by direct comparison.
+/// The same sharing lets a dense diff published at interval close borrow
+/// the page image outright (no payload copy; see
+/// [`Diff::from_changed_shared`]), and lets a receiver adopt a whole-page
+/// delivery by reference; the next store detaches the image again.
 #[derive(Debug)]
 pub struct LocalPage {
     data: Arc<[u8]>,
-    /// Whether a virtual twin is live (the page is in the current interval's
-    /// write set).
-    twinned: bool,
-    /// Pre-interval word values.  In lazy mode (`pre_exact == false`) only
-    /// the words whose `changed_words` bit is set are valid (saved on first
-    /// change); in exact mode it is a complete snapshot of the pre-interval
-    /// image, shared with the previous interval's published diff.
-    preimage: Option<Arc<[u8]>>,
-    /// Whether `preimage` is a complete exact snapshot of the pre-interval
-    /// image (see [`ensure_twin`](Self::ensure_twin)).  Meaningless while
-    /// not twinned.
-    pre_exact: bool,
+    /// The twin: the page image when the current interval's first write
+    /// happened, or `None` while the page is not in the interval's write
+    /// set.
+    twin: Option<Arc<[u8]>>,
     /// One bit per word, set iff the word's current value differs from its
-    /// value when the twin was made.  Meaningless while not twinned.
+    /// value in the twin.  Meaningless while there is no twin.
     changed_words: Box<[u64]>,
     /// For each 32-bit word: the exchange id that last delivered it and has
     /// not yet been read or overwritten locally, or [`NO_EXCHANGE`].
@@ -79,17 +65,6 @@ pub struct LocalPage {
     /// uniform attribution (pending is 0 but the array is not all
     /// [`NO_EXCHANGE`]).  It must be wiped before per-word use.
     attr_dirty: bool,
-    /// A delivered diff (and its exchange id) whose application — content
-    /// *and* attribution — has not been performed yet.  Flush deliveries are
-    /// frequently shadowed by the next flush before any local access, so
-    /// [`apply_diff_deferred`](Self::apply_diff_deferred) parks the shared
-    /// payload here instead of paying the page-sized content and
-    /// attribution traffic; the work happens lazily on the first access
-    /// that needs it, and a later delivery folds the parked one in only
-    /// where it stays visible.  Invariant: `deferred.is_some()` implies
-    /// `!twinned` — a twin is only created by the write path, which
-    /// materialises first.
-    deferred: Option<(Arc<Diff>, u32)>,
 }
 
 impl LocalPage {
@@ -98,15 +73,12 @@ impl LocalPage {
         let words = page_size / WORD_SIZE;
         LocalPage {
             data: vec![0u8; page_size].into(),
-            twinned: false,
-            preimage: None,
-            pre_exact: false,
+            twin: None,
             changed_words: vec![0u64; words.div_ceil(64)].into_boxed_slice(),
             attribution: None,
             pending: 0,
             uniform: NO_EXCHANGE,
             attr_dirty: false,
-            deferred: None,
         }
     }
 
@@ -114,69 +86,6 @@ impl LocalPage {
     #[inline]
     fn words(&self) -> usize {
         self.data.len() / WORD_SIZE
-    }
-
-    /// Mutable access to the page image, detaching (copying) it first if a
-    /// published diff still shares it — the "copy" of copy-on-next-write.
-    fn data_mut(&mut self) -> &mut [u8] {
-        if Arc::get_mut(&mut self.data).is_none() {
-            self.data = Arc::from(&self.data[..]);
-        }
-        Arc::get_mut(&mut self.data).expect("freshly detached image is unique")
-    }
-
-    /// Replace the whole image with `src`.  When the current image is still
-    /// shared with a published diff, the new image is built straight from
-    /// `src` — the detach copy a partial write would pay never happens.
-    fn replace_data(&mut self, src: &[u8]) {
-        debug_assert_eq!(src.len(), self.data.len());
-        match Arc::get_mut(&mut self.data) {
-            Some(data) => data.copy_from_slice(src),
-            None => self.data = Arc::from(src),
-        }
-    }
-
-    /// Perform a parked diff application — content and attribution.  Called
-    /// before any access that needs the page's contents or attribution
-    /// state; a no-op in the common case.
-    fn materialize_content(&mut self) {
-        if let Some((d, e)) = self.deferred.take() {
-            // `deferred` implies untwinned, so a whole-page shared snapshot
-            // can be adopted by reference instead of copied.
-            match d.whole_page_shared_image() {
-                Some(image) => self.data = Arc::clone(image),
-                None => d.apply(self.data_mut()),
-            }
-            self.attribute_diff(&d, e);
-        }
-    }
-
-    /// Retire a parked diff that is about to be shadowed by `new`: copy into
-    /// `data` only the parts of the parked payload that `new` does not
-    /// rewrite.  With the flush-delivery pattern (each generation rewrites
-    /// almost the whole page) this copies a handful of words instead of a
-    /// page, and a fully-shadowing `new` copies nothing at all.
-    fn fold_deferred_under(&mut self, new: &Diff) {
-        let Some((old, old_exchange)) = self.deferred.take() else {
-            return;
-        };
-        let words = self.data.len() / WORD_SIZE;
-        let mut cov = vec![0u64; words.div_ceil(64)];
-        let mut visible: Vec<(u32, u32)> = Vec::new();
-        let mut set = 0usize;
-        for span in new.spans() {
-            set += subtract_cover(span.offset, span.len as usize, &mut cov, &mut visible);
-        }
-        if set == words {
-            return;
-        }
-        visible.clear();
-        for span in old.spans() {
-            subtract_cover(span.offset, span.len as usize, &mut cov, &mut visible);
-        }
-        if !visible.is_empty() {
-            self.apply_diff_visible(&old, old_exchange, &visible);
-        }
     }
 
     /// Drop out of the compact uniform/stale attribution representations
@@ -198,52 +107,27 @@ impl LocalPage {
         }
     }
 
-    /// Current contents of the page.  Callers must not hold a deferred
-    /// whole-page delivery (every protocol access path materialises first;
-    /// this accessor is used by tests that drive `LocalPage` directly).
+    /// Current contents of the page.
     #[inline]
     pub fn bytes(&self) -> &[u8] {
-        debug_assert!(self.deferred.is_none(), "bytes() with deferred content");
         &self.data
     }
 
     /// Whether a twin exists (i.e. the page is dirty in the current interval).
     #[inline]
     pub fn has_twin(&self) -> bool {
-        self.twinned
+        self.twin.is_some()
     }
 
     /// Create the twin if it does not exist yet.  Returns `true` if a twin
     /// was created by this call (the "first write to a shared page" event).
-    /// No page copy happens here: the twin is virtual.
-    ///
-    /// When the image is still `Arc`-shared with a diff published at a
-    /// previous close, it has provably not been mutated since (every
-    /// mutation path detaches first), so it *is* the exact pre-interval
-    /// snapshot — the snapshot becomes the pre-image for free and the write
-    /// path runs in exact mode, with no per-word pre-image saves at all.
-    /// Otherwise the write path fills a private pre-image buffer in per
-    /// word, lazily, as before.
+    /// The twin shares the current image; the first store detaches it.
     pub fn ensure_twin(&mut self) -> bool {
-        if self.twinned {
+        if self.twin.is_some() {
             return false;
         }
-        self.materialize_content();
-        if Arc::get_mut(&mut self.data).is_none() {
-            self.preimage = Some(Arc::clone(&self.data));
-            self.pre_exact = true;
-        } else {
-            self.pre_exact = false;
-            match self.preimage.as_ref() {
-                // Reuse the buffer from an earlier interval if nothing else
-                // (a previous exact-mode snapshot) still holds it.  No weak
-                // references exist, so a strong count of 1 means unique.
-                Some(p) if Arc::strong_count(p) == 1 => {}
-                _ => self.preimage = Some(vec![0u8; self.data.len()].into()),
-            }
-        }
+        self.twin = Some(Arc::clone(&self.data));
         self.changed_words.fill(0);
-        self.twinned = true;
         true
     }
 
@@ -252,203 +136,54 @@ impl LocalPage {
     /// straight run extraction — no page scan — and a dense diff borrows
     /// the page image itself instead of packing a payload copy.
     pub fn make_diff(&self, page: PageId) -> Option<Diff> {
-        self.make_diff_in(page, Vec::new(), Vec::new())
-    }
-
-    /// [`make_diff`](Self::make_diff) with caller-recycled span/payload
-    /// buffers (see [`Diff::from_changed_shared_in`]); the interval close
-    /// path feeds retired diffs' buffers back through here.
-    pub fn make_diff_in(&self, page: PageId, spans: Vec<RunSpan>, packed: Vec<u8>) -> Option<Diff> {
-        if !self.twinned {
-            return None;
-        }
-        debug_assert!(
-            self.deferred.is_none(),
-            "twinned page with deferred content"
-        );
-        Some(Diff::from_changed_shared_in(
+        self.twin.as_ref()?;
+        Some(Diff::from_changed_shared(
             page,
             &self.data,
             &self.changed_words,
-            spans,
-            packed,
         ))
     }
 
     /// Retire the twin (the interval's modifications have been encoded; the
     /// twin is dead weight from here on — under lazy diff timing the stored
-    /// encoding, not the twin, is what later requests serve from). The
-    /// pre-image buffer is kept for reuse by the next
-    /// [`ensure_twin`](Self::ensure_twin).
+    /// encoding, not the twin, is what later requests serve from).
     pub fn drop_twin(&mut self) {
-        self.twinned = false;
+        self.twin = None;
     }
 
-    /// Store `src` at byte `offset` while a twin is live, keeping the
-    /// changed-word bitset exact: in exact mode the touched words' bits are
-    /// recomputed against the whole-page snapshot; in lazy mode the
-    /// pre-interval value of a word is saved on its first change.  Either
-    /// way a word whose original value is restored by a later store leaves
-    /// the set again.
-    fn store_tracked(&mut self, offset: usize, src: &[u8]) {
+    /// Store `src` at byte `offset` — the one path every write and every
+    /// delivery takes into the page image.  The image is copy-on-next-write:
+    /// a partial store detaches (copies) it first if a published diff or
+    /// the twin still shares it, while a whole-page store builds the new
+    /// image straight from `src` and never pays the detach copy.  While a
+    /// twin is live, the touched words' changed bits are then recomputed
+    /// against it, so the bitset stays exact: a word whose original value
+    /// is restored by a later store leaves the set again.
+    fn store_exact(&mut self, offset: usize, src: &[u8]) {
         if src.is_empty() {
             return;
         }
-        if self.pre_exact {
-            return self.store_exact(offset, src);
-        }
-        self.store_lazy(offset, src);
-    }
-
-    /// Exact-mode store: the pre-image is a complete snapshot of the
-    /// pre-interval image, so no per-word saves happen at all — the store
-    /// lands and the touched words' changed bits are recomputed by direct
-    /// comparison against the snapshot.  A whole-page store into a
-    /// still-shared image skips even the detach copy: the new image is
-    /// built straight from `src`.
-    fn store_exact(&mut self, offset: usize, src: &[u8]) {
         let end = offset + src.len();
-        if offset == 0 && end == self.data.len() {
-            self.replace_data(src);
-        } else {
-            self.data_mut()[offset..end].copy_from_slice(src);
-        }
-        let pre = self.preimage.as_deref().expect("exact mode has a snapshot");
-        // Words `src` covers fully get their changed bits straight from the
-        // still-cache-hot source in one pass; only ragged head/tail words
-        // (whose untouched bytes live in the page, not in `src`) re-read the
-        // stored data.  `src` equals the stored range, so the bits are the
-        // same either way.
-        let w0 = offset / WORD_SIZE;
-        let w1 = (end - 1) / WORD_SIZE + 1;
-        let wf0 = offset.div_ceil(WORD_SIZE);
-        let wf1 = end / WORD_SIZE;
-        if wf0 >= wf1 {
-            exact_bits_for_range(&self.data, pre, &mut self.changed_words, w0, w1);
-            return;
-        }
-        if w0 < wf0 {
-            exact_bits_for_range(&self.data, pre, &mut self.changed_words, w0, wf0);
-        }
-        exact_bits_from_src(src, offset, pre, &mut self.changed_words, wf0, wf1);
-        if wf1 < w1 {
-            exact_bits_for_range(&self.data, pre, &mut self.changed_words, wf1, w1);
-        }
-    }
-
-    /// Lazy-mode store: save the pre-interval value of a word on its first
-    /// change, compare on every store to keep the bitset exact.
-    fn store_lazy(&mut self, offset: usize, src: &[u8]) {
-        /// Bits of the lower-addressed word within a native-endian `u64`
-        /// read across two consecutive words.
-        const FIRST: u64 = if cfg!(target_endian = "little") {
-            0x0000_0000_FFFF_FFFF
-        } else {
-            0xFFFF_FFFF_0000_0000
-        };
-        /// General per-word store: handles partial-word ranges and words
-        /// whose changed bit may already be set (compare against the saved
-        /// pre-image, clearing the bit when the original value returns).
-        fn word(
-            data: &mut [u8],
-            pre: &mut [u8],
-            bits: &mut [u64],
-            w: usize,
-            lo: usize,
-            hi: usize,
-            src: &[u8],
-            src_off: usize,
-        ) {
-            let wlo = w * WORD_SIZE;
-            let whi = wlo + WORD_SIZE;
-            let (blk, bit) = (w / 64, 1u64 << (w % 64));
-            if bits[blk] & bit == 0 {
-                // Word still holds its pre-interval value: snapshot it, then
-                // apply the store and flag the word only if it truly changed
-                // (a store of the unchanged value stays invisible).
-                pre[wlo..whi].copy_from_slice(&data[wlo..whi]);
-                data[lo..hi].copy_from_slice(&src[lo - src_off..hi - src_off]);
-                if data[wlo..whi] != pre[wlo..whi] {
-                    bits[blk] |= bit;
-                }
-            } else {
-                data[lo..hi].copy_from_slice(&src[lo - src_off..hi - src_off]);
-                if data[wlo..whi] == pre[wlo..whi] {
-                    bits[blk] &= !bit;
-                }
+        let whole_page = offset == 0 && end == self.data.len();
+        match Arc::get_mut(&mut self.data) {
+            Some(data) => data[offset..end].copy_from_slice(src),
+            None if whole_page => self.data = Arc::from(src),
+            None => {
+                let mut data: Arc<[u8]> = Arc::from(&self.data[..]);
+                Arc::get_mut(&mut data).expect("a fresh copy is unique")[offset..end]
+                    .copy_from_slice(src);
+                self.data = data;
             }
         }
-
-        let end = offset + src.len();
-        if Arc::get_mut(&mut self.data).is_none() {
-            // Detach a still-shared image before mutating it in place.
-            self.data = Arc::from(&self.data[..]);
-        }
-        let data = Arc::get_mut(&mut self.data).expect("freshly detached image is unique");
-        let pre: &mut [u8] =
-            Arc::get_mut(self.preimage.as_mut().expect("twinned page has a preimage"))
-                .expect("lazy-mode pre-image is privately owned");
-        let bits = &mut self.changed_words;
-
-        // Partial head/tail words take the general path; full words in the
-        // middle take the bulk path below.
-        let mut lo = offset;
-        if lo % WORD_SIZE != 0 {
-            let w = lo / WORD_SIZE;
-            let hi = end.min((w + 1) * WORD_SIZE);
-            word(data, pre, bits, w, lo, hi, src, offset);
-            lo = hi;
-        }
-        let mid_end = lo + (end - lo) / WORD_SIZE * WORD_SIZE;
-        if mid_end < end {
-            word(data, pre, bits, end / WORD_SIZE, mid_end, end, src, offset);
-        }
-
-        let mut w = lo / WORD_SIZE;
-        let w1 = mid_end / WORD_SIZE;
-        while w < w1 {
-            let blk = w / 64;
-            let seg_end = ((blk + 1) * 64).min(w1);
-            if bits[blk] == 0 {
-                // No word of this 64-word block has changed yet — the
-                // common case for a fresh interval.  A clear bit means the
-                // word still holds its pre-interval value, so the whole
-                // segment can be snapshotted and stored with two bulk
-                // copies; the changed bits then come from a cache-hot XOR
-                // scan of what was just written.
-                let base = w * WORD_SIZE;
-                let seg_bytes = (seg_end - w) * WORD_SIZE;
-                let sb = base - offset;
-                // Two straight-line copies (which the compiler vectorises)
-                // followed by a cache-hot XOR scan of new-vs-old.
-                pre[base..base + seg_bytes].copy_from_slice(&data[base..base + seg_bytes]);
-                data[base..base + seg_bytes].copy_from_slice(&src[sb..sb + seg_bytes]);
-                let mut new_bits = 0u64;
-                let mut wi = w % 64;
-                let pairs = (seg_end - w) / 2;
-                for k in 0..pairs {
-                    let db = base + k * 8;
-                    let d8 = u64::from_ne_bytes(data[db..db + 8].try_into().unwrap());
-                    let p8 = u64::from_ne_bytes(pre[db..db + 8].try_into().unwrap());
-                    let x = d8 ^ p8;
-                    new_bits |= ((((x & FIRST) != 0) as u64) << wi)
-                        | ((((x & !FIRST) != 0) as u64) << (wi + 1));
-                    wi += 2;
-                }
-                if (seg_end - w) % 2 == 1 {
-                    let db = base + pairs * 8;
-                    let d4: [u8; 4] = data[db..db + 4].try_into().unwrap();
-                    let p4: [u8; 4] = pre[db..db + 4].try_into().unwrap();
-                    new_bits |= ((d4 != p4) as u64) << wi;
-                }
-                bits[blk] |= new_bits;
-            } else {
-                for wi in w..seg_end {
-                    let db = wi * WORD_SIZE;
-                    word(data, pre, bits, wi, db, db + WORD_SIZE, src, offset);
-                }
-            }
-            w = seg_end;
+        if let Some(twin) = self.twin.as_deref() {
+            let w1 = (end - 1) / WORD_SIZE + 1;
+            exact_bits_for_range(
+                &self.data,
+                twin,
+                &mut self.changed_words,
+                offset / WORD_SIZE,
+                w1,
+            );
         }
     }
 
@@ -461,22 +196,7 @@ impl LocalPage {
         if src.is_empty() {
             return;
         }
-        if self.deferred.is_some() {
-            if offset == 0 && end == self.data.len() {
-                // Whole-page overwrite: the parked payload would be copied in
-                // only to be clobbered by `src` — drop it instead.
-                self.deferred = None;
-            } else {
-                self.materialize_content();
-            }
-        }
-        if self.twinned {
-            self.store_tracked(offset, src);
-        } else if offset == 0 && end == self.data.len() {
-            self.replace_data(src);
-        } else {
-            self.data_mut()[offset..end].copy_from_slice(src);
-        }
+        self.store_exact(offset, src);
         let first = offset / WORD_SIZE;
         let last = (end - 1) / WORD_SIZE;
         if self.pending != 0 {
@@ -515,7 +235,6 @@ impl LocalPage {
     ) {
         let end = offset + dst.len();
         assert!(end <= self.data.len(), "read outside page bounds");
-        self.materialize_content();
         dst.copy_from_slice(&self.data[offset..end]);
         if !dst.is_empty() && self.pending != 0 {
             let first = offset / WORD_SIZE;
@@ -577,15 +296,7 @@ impl LocalPage {
     /// Panics if `src` is not exactly one page long.
     pub fn load_page(&mut self, src: &[u8], exchange: u32) {
         assert_eq!(src.len(), self.data.len(), "src must be one page");
-        // Whole-page replacement: any parked payload is dead.
-        self.deferred = None;
-        if self.twinned {
-            // Defensive: keep the changed-word bitset exact even if a
-            // whole-page load ever lands while a twin is live.
-            self.store_tracked(0, src);
-        } else {
-            self.replace_data(src);
-        }
+        self.store_exact(0, src);
         if exchange == NO_EXCHANGE {
             self.pending = 0;
             self.uniform = NO_EXCHANGE;
@@ -602,39 +313,30 @@ impl LocalPage {
     /// overwrites is attributed to `exchange` (pass [`NO_EXCHANGE`] to skip
     /// attribution, e.g. for locally generated corrections in tests).
     pub fn apply_diff(&mut self, diff: &Diff, exchange: u32) {
-        if self.deferred.is_some() {
-            if exchange != NO_EXCHANGE
-                && matches!(diff.spans(), [span] if span.offset == 0
-                    && span.len as usize == self.data.len())
-            {
-                // The incoming diff rewrites the whole page's content and
-                // attribution anyway: the parked delivery is fully shadowed.
-                self.deferred = None;
-            } else {
-                self.materialize_content();
-            }
-        }
-        if self.twinned {
-            // Defensive: a remotely produced diff landing while a twin is
-            // live must keep the changed-word bitset exact.
+        if !self.adopt_image(diff) {
             for (offset, bytes) in diff.runs() {
-                self.store_tracked(offset as usize, bytes);
+                self.store_exact(offset as usize, bytes);
             }
-        } else if let Some(image) = diff.whole_page_shared_image() {
-            // Zero-copy delivery: a whole-page shared snapshot replaces the
-            // image by reference; the next local write detaches as usual.
-            debug_assert_eq!(image.len(), self.data.len());
-            self.data = Arc::clone(image);
-        } else {
-            diff.apply(self.data_mut());
         }
         self.attribute_diff(diff, exchange);
     }
 
-    /// Attribution-only half of [`apply_diff`](Self::apply_diff): credit
-    /// every word `diff` covers to `exchange`.  Shared with the deferred
-    /// apply path, which parks the content but must keep the paper's
-    /// useful/useless accounting eager.
+    /// Zero-copy delivery: when `diff` rewrites the whole page out of a
+    /// shared snapshot and no twin is live, replace the image by reference
+    /// (the next local write detaches as usual).  Returns whether it did.
+    fn adopt_image(&mut self, diff: &Diff) -> bool {
+        match diff.whole_page_shared_image() {
+            Some(image) if self.twin.is_none() => {
+                debug_assert_eq!(image.len(), self.data.len());
+                self.data = Arc::clone(image);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Attribution half of [`apply_diff`](Self::apply_diff): credit every
+    /// word `diff` covers to `exchange`.
     fn attribute_diff(&mut self, diff: &Diff, exchange: u32) {
         if exchange == NO_EXCHANGE {
             return;
@@ -672,28 +374,6 @@ impl LocalPage {
         }
     }
 
-    /// [`apply_diff`](Self::apply_diff), except that on an untwinned page
-    /// the application is *parked*: the shared payload and its exchange id
-    /// are stored in `deferred`, and both the content copy and the
-    /// attribution update happen lazily on the first access that needs
-    /// them.  Any previously parked diff is folded into the page only where
-    /// the new one leaves it visible, so a delivery that the next flush
-    /// shadows is never paid for.  Every observable outcome — page bytes,
-    /// per-word useful/useless credit, pending counts — is bit-identical to
-    /// the eager path; only the time of the work moves.
-    pub fn apply_diff_deferred(&mut self, diff: &Arc<Diff>, exchange: u32) {
-        if self.twinned {
-            debug_assert!(
-                self.deferred.is_none(),
-                "twinned page with deferred content"
-            );
-            self.apply_diff(diff, exchange);
-            return;
-        }
-        self.fold_deferred_under(diff);
-        self.deferred = Some((Arc::clone(diff), exchange));
-    }
-
     /// Apply only the `visible` byte intervals of `diff` — the parts no
     /// later-applied diff of this page overwrites.  `visible` must be
     /// sorted, non-overlapping, word-aligned, and a subset of the diff's
@@ -702,7 +382,6 @@ impl LocalPage {
     /// part back to front leaves the page bit-identical to applying every
     /// diff front to back.
     pub fn apply_diff_visible(&mut self, diff: &Diff, exchange: u32, visible: &[(u32, u32)]) {
-        let twinned = self.twinned;
         // A whole-page diff that is fully visible (the dominant shape on the
         // grid applications' fetch path) is a straight page copy, and its
         // attribution takes the compact uniform representation — no
@@ -710,23 +389,9 @@ impl LocalPage {
         let page_len = self.data.len();
         if let ([span], [(0, hi)]) = (diff.spans(), visible) {
             if span.offset == 0 && span.len as usize == page_len && *hi as usize == page_len {
-                if exchange != NO_EXCHANGE {
-                    // Whole page re-attributed below: a parked delivery is
-                    // fully shadowed.
-                    self.deferred = None;
-                } else {
-                    self.materialize_content();
-                }
-                if twinned {
+                if !self.adopt_image(diff) {
                     let (_, bytes) = diff.runs().next().expect("one span, one run");
-                    self.store_tracked(0, bytes);
-                } else if let Some(image) = diff.whole_page_shared_image() {
-                    // Zero-copy delivery: adopt the shared snapshot instead
-                    // of copying the page.
-                    self.data = Arc::clone(image);
-                } else {
-                    let (_, bytes) = diff.runs().next().expect("one span, one run");
-                    self.replace_data(bytes);
+                    self.store_exact(0, bytes);
                 }
                 if exchange != NO_EXCHANGE {
                     self.pending = (page_len / WORD_SIZE) as u32;
@@ -735,7 +400,6 @@ impl LocalPage {
                 return;
             }
         }
-        self.materialize_content();
         if exchange != NO_EXCHANGE {
             // Visible-interval application is inherently partial, so the
             // per-word array must be authoritative.
@@ -757,13 +421,7 @@ impl LocalPage {
                     rlo <= lo && hi <= rhi,
                     "visible interval must sit inside one run"
                 );
-                if twinned {
-                    // Defensive: a remotely produced diff landing while a
-                    // twin is live must keep the changed-word bitset exact.
-                    self.store_tracked(lo, &rbytes[lo - rlo..hi - rlo]);
-                } else {
-                    self.data_mut()[lo..hi].copy_from_slice(&rbytes[lo - rlo..hi - rlo]);
-                }
+                self.store_exact(lo, &rbytes[lo - rlo..hi - rlo]);
                 let (first, last) = (lo / WORD_SIZE, hi / WORD_SIZE - 1);
                 if exchange != NO_EXCHANGE {
                     let attribution = self.attribution.as_mut().expect("materialized");
@@ -807,60 +465,6 @@ impl LocalPage {
 /// `bit(w) = (data word w != pre word w)`, set *or cleared*.  Words outside
 /// the range keep their bits.  Pairs of words are compared as one `u64` XOR
 /// with an endian split, as in the diff scan.
-/// Recompute `bits` for words `[w0, w1)` of the page straight from the bytes
-/// just stored over them: word `w`'s bit is set iff its fresh contents in
-/// `src` (which begins at page byte `offset` and fully covers the range)
-/// differ from the pre-interval snapshot.  Bit-identical to running
-/// [`exact_bits_for_range`] over the stored page, without re-reading it.
-fn exact_bits_from_src(
-    src: &[u8],
-    offset: usize,
-    pre: &[u8],
-    bits: &mut [u64],
-    w0: usize,
-    w1: usize,
-) {
-    /// Bits of the lower-addressed word within a native-endian `u64` read
-    /// across two consecutive words.
-    const FIRST: u64 = if cfg!(target_endian = "little") {
-        0x0000_0000_FFFF_FFFF
-    } else {
-        0xFFFF_FFFF_0000_0000
-    };
-    let mut w = w0;
-    while w < w1 {
-        let blk = w / 64;
-        let seg_end = ((blk + 1) * 64).min(w1);
-        let lo = w % 64;
-        let n = seg_end - w;
-        let mask = if n == 64 {
-            !0u64
-        } else {
-            ((1u64 << n) - 1) << lo
-        };
-        let mut new_bits = 0u64;
-        let mut wi = w;
-        while wi + 1 < seg_end {
-            let b = wi * WORD_SIZE;
-            let s8 = u64::from_ne_bytes(src[b - offset..b - offset + 8].try_into().unwrap());
-            let p8 = u64::from_ne_bytes(pre[b..b + 8].try_into().unwrap());
-            let x = s8 ^ p8;
-            let sh = wi % 64;
-            new_bits |=
-                ((((x & FIRST) != 0) as u64) << sh) | ((((x & !FIRST) != 0) as u64) << (sh + 1));
-            wi += 2;
-        }
-        if wi < seg_end {
-            let b = wi * WORD_SIZE;
-            if src[b - offset..b - offset + WORD_SIZE] != pre[b..b + WORD_SIZE] {
-                new_bits |= 1u64 << (wi % 64);
-            }
-        }
-        bits[blk] = (bits[blk] & !mask) | new_bits;
-        w = seg_end;
-    }
-}
-
 fn exact_bits_for_range(data: &[u8], pre: &[u8], bits: &mut [u64], w0: usize, w1: usize) {
     /// Bits of the lower-addressed word within a native-endian `u64` read
     /// across two consecutive words.
@@ -1091,14 +695,14 @@ mod tests {
 
     #[test]
     fn rewriting_a_word_with_its_old_value_stays_out_of_the_diff() {
-        // The dirty-word bits are a superset filter: flagged words must
-        // still be compared, so a no-op rewrite never reaches the wire.
+        // Changed bits compare against the twin, so a store of a word's
+        // current value never reaches the wire.
         let mut store = PageStore::new(layout());
         let page = PageId(1);
         let p = store.page_mut(page);
         p.write_bytes(0, &[3, 3, 3, 3]);
         p.ensure_twin();
-        p.write_bytes(0, &[3, 3, 3, 3]); // dirty bit set, contents unchanged
+        p.write_bytes(0, &[3, 3, 3, 3]); // stored, contents unchanged
         p.write_bytes(12, &[1, 2, 3, 4]);
         let diff = p.make_diff(page).unwrap();
         assert_eq!(diff.num_runs(), 1);
@@ -1114,8 +718,8 @@ mod tests {
         let d1 = p.make_diff(PageId(0)).unwrap();
         assert_eq!(d1.spans()[0].offset, 0);
         p.drop_twin();
-        // The recycled buffer must be re-seeded from the *current* contents,
-        // not carry stale bytes from the previous interval.
+        // The next twin must be taken from the *current* contents, not
+        // carry stale bytes from the previous interval.
         assert!(p.ensure_twin());
         p.write_bytes(8, &[2, 2, 2, 2]);
         let d2 = p.make_diff(PageId(0)).unwrap();
