@@ -13,7 +13,7 @@
 
 use crate::fasthash::FastHashMap;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use tm_page::{Diff, PageId};
 
@@ -71,7 +71,7 @@ impl IntervalRecord {
 /// One stored diff and its modeled lifecycle state.
 #[derive(Debug, Clone)]
 struct StoredDiff {
-    diff: Arc<Diff>,
+    diff: Rc<Diff>,
     /// Whether the diff has been *created* in the modeled protocol: true
     /// from publication under eager timing, set by the first serving request
     /// under lazy timing.  (The encoded bytes exist either way — the
@@ -93,7 +93,7 @@ struct StoredDiff {
 #[derive(Debug)]
 struct MergedChain {
     seqs: Vec<u32>,
-    diff: Arc<Diff>,
+    diff: Rc<Diff>,
     wire_bytes: u64,
     payload_bytes: u64,
 }
@@ -116,7 +116,7 @@ pub struct LogCounters {
 #[derive(Debug, Clone)]
 pub struct FetchedDiff {
     /// The requested diff.
-    pub diff: Arc<Diff>,
+    pub diff: Rc<Diff>,
     /// True if this request materialized the diff (lazy timing only): the
     /// requester must charge the creation cost to the responder's serve
     /// path.
@@ -132,7 +132,7 @@ pub struct FetchedDiff {
 pub struct ChainFetch {
     /// The union of the chain's diffs: every word carries the bytes of the
     /// last chain diff that touches it.
-    pub diff: Arc<Diff>,
+    pub diff: Rc<Diff>,
     /// Sum of the individual diffs' wire bytes.
     pub wire_bytes: u64,
     /// Sum of the individual diffs' payload bytes.
@@ -208,7 +208,7 @@ impl IntervalLog {
     pub fn publish(
         &mut self,
         record: IntervalRecord,
-        diffs: &mut Vec<(PageId, Arc<Diff>)>,
+        diffs: &mut Vec<(PageId, Rc<Diff>)>,
         timing: DiffTiming,
     ) {
         debug_assert_eq!(
@@ -267,7 +267,7 @@ impl IntervalLog {
 
     /// The diff of `page` created when interval `seq` closed, if that
     /// interval wrote the page (read-only peek: does not materialize).
-    pub fn diff(&self, page: PageId, seq: u32) -> Option<Arc<Diff>> {
+    pub fn diff(&self, page: PageId, seq: u32) -> Option<Rc<Diff>> {
         self.diffs.get(&(page, seq)).map(|s| s.diff.clone())
     }
 
@@ -318,7 +318,7 @@ impl IntervalLog {
                         .is_some_and(|stored| stored.materialized)
                 }));
                 return Some(ChainFetch {
-                    diff: Arc::clone(&m.diff),
+                    diff: Rc::clone(&m.diff),
                     wire_bytes: m.wire_bytes,
                     payload_bytes: m.payload_bytes,
                     created_now: 0,
@@ -340,7 +340,7 @@ impl IntervalLog {
             // the stored diff as-is.
             let stored = &self.diffs[&(page, seq)];
             return Some(ChainFetch {
-                diff: Arc::clone(&stored.diff),
+                diff: Rc::clone(&stored.diff),
                 wire_bytes: stored.wire_bytes,
                 payload_bytes: stored.payload_bytes,
                 created_now,
@@ -348,7 +348,7 @@ impl IntervalLog {
         }
         let mut wire_bytes = 0u64;
         let mut payload_bytes = 0u64;
-        let chain: Vec<&Arc<Diff>> = seqs
+        let chain: Vec<&Rc<Diff>> = seqs
             .iter()
             .map(|&(_, seq)| {
                 let stored = &self.diffs[&(page, seq)];
@@ -372,17 +372,17 @@ impl IntervalLog {
             _ => false,
         };
         let diff = if newest_covers_chain {
-            Arc::clone(chain.last().expect("chain is non-empty"))
+            Rc::clone(chain.last().expect("chain is non-empty"))
         } else {
             let refs: Vec<&Diff> = chain.iter().map(|d| &***d).collect();
-            Arc::new(Diff::merge(page, &refs))
+            Rc::new(Diff::merge(page, &refs))
         };
         drop(chain);
         self.merged.insert(
             page,
             MergedChain {
                 seqs: seqs.iter().map(|&(_, s)| s).collect(),
-                diff: Arc::clone(&diff),
+                diff: Rc::clone(&diff),
                 wire_bytes,
                 payload_bytes,
             },
@@ -447,11 +447,11 @@ mod tests {
         }
     }
 
-    fn diff_of(page: u32, bytes: usize) -> Arc<Diff> {
+    fn diff_of(page: u32, bytes: usize) -> Rc<Diff> {
         let twin = vec![0u8; bytes.max(4)];
         let mut cur = twin.clone();
         cur[0] = 1;
-        Arc::new(Diff::create(PageId(page), &twin, &cur))
+        Rc::new(Diff::create(PageId(page), &twin, &cur))
     }
 
     #[test]

@@ -22,7 +22,6 @@ use std::collections::BTreeMap;
 use crate::fasthash::{FastHashMap, FastHashSet};
 
 use std::rc::Rc;
-use std::sync::Arc;
 
 use tm_net::{
     AggregationPolicy, CostModel, DiffExchange, FaultRecord, LogicalClock, MsgKind, ProcId,
@@ -127,8 +126,9 @@ pub struct ProcCtx {
     notice_scratch: Vec<(u32, PageId)>,
     /// Reusable `(page, diff)` staging vector for interval publication; the
     /// log drains it in place so its capacity survives across closes.
-    diff_scratch: Vec<(PageId, Arc<Diff>)>,
-    /// Reusable byte staging buffer for the typed accessors in `handle.rs`.
+    diff_scratch: Vec<(PageId, Rc<Diff>)>,
+    /// Reusable byte staging buffer for the typed bulk writes in
+    /// `handle.rs` (typed reads decode straight out of the page images).
     /// Lives on the context (taken/restored around each access) rather than
     /// in a thread-local: every simulated processor shares one host thread,
     /// so a thread-local scratch would be re-entered across suspension
@@ -259,17 +259,42 @@ impl ProcCtx {
 
     /// Read `dst.len()` bytes of shared memory starting at `addr`.
     pub async fn read_bytes(&mut self, addr: GlobalAddr, dst: &mut [u8]) {
-        self.charge_access(dst.len());
-        self.ensure_valid_range(addr, dst.len() as u64, false).await;
+        let mut filled = 0;
+        self.read_with(addr, dst.len(), |seg| {
+            dst[filled..filled + seg.len()].copy_from_slice(seg);
+            filled += seg.len();
+        })
+        .await;
+    }
+
+    /// Read `len` bytes of shared memory starting at `addr` without copying
+    /// them: the access is charged, faulted in, race-checked and credited
+    /// exactly as [`read_bytes`](Self::read_bytes) does, then each page
+    /// segment is lent to `lend` straight out of the local page image, in
+    /// address order (a value straddling a page boundary arrives split
+    /// across two segments).
+    pub(crate) async fn read_with(
+        &mut self,
+        addr: GlobalAddr,
+        len: usize,
+        lend: impl FnMut(&[u8]),
+    ) {
+        self.charge_access(len);
+        self.ensure_valid_range(addr, len as u64, false).await;
         if self.world.race.is_some() {
-            self.note_access(addr, dst.len(), AccessKind::Read);
+            self.note_access(addr, len, AccessKind::Read);
         }
         let ProcCtx { store, stats, .. } = self;
-        store.read(addr, dst, |exch, bytes| {
-            if let Some(e) = stats.exchanges.get_mut(exch as usize) {
-                e.useful_payload += bytes;
-            }
-        });
+        store.read_with(
+            addr,
+            len,
+            |exch, bytes| {
+                if let Some(e) = stats.exchanges.get_mut(exch as usize) {
+                    e.useful_payload += bytes;
+                }
+            },
+            lend,
+        );
     }
 
     /// Write `src` to shared memory starting at `addr`.
@@ -558,7 +583,7 @@ impl ProcCtx {
         let mut exchange_ids = Vec::with_capacity(by_writer.len());
         let mut responder_costs = Vec::with_capacity(by_writer.len());
         let mut responder_ranks = Vec::with_capacity(by_writer.len());
-        let mut to_apply: Vec<(u64, u32, u32, Arc<Diff>, u32, bool)> = Vec::new();
+        let mut to_apply: Vec<(u64, u32, u32, Rc<Diff>, u32, bool)> = Vec::new();
         let mut total_payload = 0u64;
         let page_size = self.layout.page_size() as u64;
 
@@ -923,7 +948,7 @@ impl ProcCtx {
                 self.stats.diff_bytes_created += diff.payload_bytes();
             }
             pages.push(page);
-            diffs.push((page, Arc::new(diff)));
+            diffs.push((page, Rc::new(diff)));
         }
         dirty.clear();
         self.dirty_pages = dirty;
@@ -936,7 +961,7 @@ impl ProcCtx {
     /// written `pages` (with whatever diffs the protocol stores in the
     /// log — none under home-based) and account the notices.  No-op when
     /// the interval produced no notices (an all-silent-writes close).
-    fn publish_interval(&mut self, pages: Vec<PageId>, diffs: &mut Vec<(PageId, Arc<Diff>)>) {
+    fn publish_interval(&mut self, pages: Vec<PageId>, diffs: &mut Vec<(PageId, Rc<Diff>)>) {
         if pages.is_empty() {
             debug_assert!(diffs.is_empty(), "diffs without write notices");
             return;

@@ -14,14 +14,14 @@
 //!
 //! Dense diffs go one step further and skip the payload copy entirely: a
 //! diff published at interval close can *borrow* the page image itself
-//! (`Payload::Page`, an `Arc`-shared snapshot) with its spans indexing
+//! (`Payload::Page`, an `Rc`-shared snapshot) with its spans indexing
 //! the image by page offset.  The owning processor detaches
 //! (copy-on-next-write) only if it writes the page again in a later
 //! interval, so the common publish-then-move-on pattern never copies the
 //! payload at all.  Both representations encode the same logical runs —
 //! equality, application, accounting and merging are representation-blind.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
 
@@ -68,7 +68,7 @@ enum Payload {
     /// sliced out of it at their page offsets.  Taken by
     /// [`Diff::from_changed_shared`] for dense diffs, where sharing the
     /// 4 KB image beats copying most of it into a packed buffer.
-    Page(Arc<[u8]>),
+    Page(Rc<[u8]>),
 }
 
 /// Two diffs are equal when they record the same logical modifications —
@@ -100,13 +100,16 @@ impl Diff {
     pub fn create(page: PageId, twin: &[u8], current: &[u8]) -> Diff {
         assert_eq!(twin.len(), current.len(), "twin/current size mismatch");
         assert_eq!(twin.len() % WORD_SIZE, 0, "page size must be word aligned");
-        let mut diff = Diff {
+        let words = twin.len() / WORD_SIZE;
+        let mut changed = vec![0u64; words.div_ceil(64)];
+        exact_bits_for_range(current, twin, &mut changed, 0, words);
+        let spans = spans_from_bits(&changed);
+        let payload = Payload::Packed(pack_payload(&spans, current));
+        Diff {
             page,
-            spans: Vec::new(),
-            payload: Payload::Packed(Vec::new()),
-        };
-        scan_words(twin, current, 0, twin.len() / WORD_SIZE, &mut diff);
-        diff
+            spans,
+            payload,
+        }
     }
 
     /// Build a diff directly from an **exact** changed-word bitset (bit
@@ -114,14 +117,14 @@ impl Diff {
     /// its value when the interval started).  No compare scan happens: runs
     /// are extracted straight from the bits, so the output is bit-identical
     /// to [`create`](Self::create) against the interval-start twin.  Dense
-    /// diffs (payload at least half the page) borrow the `Arc`-shared image
+    /// diffs (payload at least half the page) borrow the `Rc`-shared image
     /// itself; sparse diffs copy their runs into a packed payload, so a few
     /// changed words never pin a whole page in memory.
     ///
     /// # Panics
     /// Panics on an unaligned page size or a bitset shorter than the page's
     /// word count.
-    pub fn from_changed_shared(page: PageId, image: &Arc<[u8]>, changed: &[u64]) -> Diff {
+    pub fn from_changed_shared(page: PageId, image: &Rc<[u8]>, changed: &[u64]) -> Diff {
         assert_eq!(image.len() % WORD_SIZE, 0, "page size must be word aligned");
         let words = image.len() / WORD_SIZE;
         assert!(
@@ -131,7 +134,7 @@ impl Diff {
         let spans = spans_from_bits(changed);
         let total: usize = spans.iter().map(|s| s.len as usize).sum();
         let payload = if total * 2 >= image.len() && total > 0 {
-            Payload::Page(Arc::clone(image))
+            Payload::Page(Rc::clone(image))
         } else {
             Payload::Packed(pack_payload(&spans, image))
         };
@@ -144,12 +147,12 @@ impl Diff {
 
     /// The shared page snapshot, when this diff rewrites the *entire* page
     /// out of one: a single run at offset 0 covering every byte of a
-    /// `Payload::Page` image.  Receivers then adopt the snapshot `Arc`
+    /// `Payload::Page` image.  Receivers then adopt the snapshot `Rc`
     /// wholesale instead of copying the page — their contents after
     /// adoption are bit-identical to an [`apply`](Self::apply), because the
     /// lone run *is* the image.
     #[inline]
-    pub fn whole_page_shared_image(&self) -> Option<&Arc<[u8]>> {
+    pub fn whole_page_shared_image(&self) -> Option<&Rc<[u8]>> {
         match (&self.payload, self.spans.as_slice()) {
             (Payload::Page(image), [span])
                 if span.offset == 0 && span.len as usize == image.len() =>
@@ -162,7 +165,7 @@ impl Diff {
 
     /// Reference implementation of [`create`](Self::create): the original
     /// per-word bounds-checked slice-compare scan. Kept (test-only) as the
-    /// oracle the optimized scans are property-tested against.
+    /// oracle the block changed-word kernel is property-tested against.
     #[cfg(test)]
     pub(crate) fn create_naive(page: PageId, twin: &[u8], current: &[u8]) -> Diff {
         assert_eq!(twin.len(), current.len(), "twin/current size mismatch");
@@ -200,6 +203,7 @@ impl Diff {
     /// Append a run to the diff (spans must arrive in increasing offset
     /// order and never touch — callers produce maximal runs).  Only the
     /// packed representation grows incrementally.
+    #[cfg(test)]
     fn push_run(&mut self, offset: u32, bytes: &[u8]) {
         debug_assert!(!bytes.is_empty());
         debug_assert!(self.spans.last().map_or(true, |s| s.end() < offset));
@@ -438,67 +442,59 @@ fn pack_payload(spans: &[RunSpan], source: &[u8]) -> Vec<u8> {
     payload
 }
 
-/// Scan words `[from, to)` of `twin`/`current` and append every maximal run
-/// of differing words to `diff`. Words are compared as native-endian `u32`s
-/// over `chunks_exact` windows — no per-word slice bounds checks — which is
-/// what makes diff creation cheap enough to run once per dirty page per
-/// interval.
-fn scan_words(twin: &[u8], current: &[u8], from: usize, to: usize, diff: &mut Diff) {
-    /// Bits of the first word of a native-endian `u64` read from two
-    /// consecutive words (the lower-addressed word sits in the low bytes on
-    /// little-endian machines and the high bytes on big-endian ones).
-    const FIRST: u64 = if cfg!(target_endian = "little") {
-        0x0000_0000_FFFF_FFFF
-    } else {
-        0xFFFF_FFFF_0000_0000
-    };
-    let t = &twin[from * WORD_SIZE..to * WORD_SIZE];
-    let c = &current[from * WORD_SIZE..to * WORD_SIZE];
-    let mut open: Option<usize> = None;
-    let close = |open: &mut Option<usize>, end: usize, diff: &mut Diff| {
-        if let Some(start) = open.take() {
-            diff.push_run(
-                (start * WORD_SIZE) as u32,
-                &current[start * WORD_SIZE..end * WORD_SIZE],
-            );
-        }
-    };
-    // Two words per iteration: one u64 XOR answers "any change?" and the
-    // endian mask splits it per word only when the halves disagree.  The
-    // common all-changed and all-clean stretches take a single branch per
-    // pair, which roughly halves the scan cost of diffing a big page.
-    for (k, (t8, c8)) in t.chunks_exact(8).zip(c.chunks_exact(8)).enumerate() {
-        let x =
-            u64::from_ne_bytes(t8.try_into().unwrap()) ^ u64::from_ne_bytes(c8.try_into().unwrap());
-        let base = from + 2 * k;
-        if x == 0 {
-            close(&mut open, base, diff);
+/// Recompute the changed-word bits of words `[w0, w1)` by direct comparison
+/// of `data` against the interval-start snapshot `pre`: bit `w % 64` of
+/// `bits[w / 64]` becomes `data word w != pre word w`, set *or cleared*.
+/// Words outside the range keep their bits.  Every full 64-word block goes
+/// through the branch-free [`block_changed_bits`] kernel; the partial
+/// blocks at either end of the range are compared word by word and merged
+/// under a mask.
+pub(crate) fn exact_bits_for_range(
+    data: &[u8],
+    pre: &[u8],
+    bits: &mut [u64],
+    w0: usize,
+    w1: usize,
+) {
+    let mut w = w0;
+    while w < w1 {
+        let blk = w / 64;
+        let seg_end = ((blk + 1) * 64).min(w1);
+        let (lo, hi) = (w * WORD_SIZE, seg_end * WORD_SIZE);
+        let d = data[lo..hi].as_chunks::<WORD_SIZE>().0;
+        let p = pre[lo..hi].as_chunks::<WORD_SIZE>().0;
+        if let (Ok(d), Ok(p)) = (d.try_into(), p.try_into()) {
+            bits[blk] = block_changed_bits(d, p);
         } else {
-            let first_ne = x & FIRST != 0;
-            let second_ne = x & !FIRST != 0;
-            if first_ne && second_ne {
-                open.get_or_insert(base);
-            } else if first_ne {
-                open.get_or_insert(base);
-                close(&mut open, base + 1, diff);
-            } else {
-                close(&mut open, base, diff);
-                open = Some(base + 1);
+            let shift = w % 64;
+            let mask = ((1u64 << (seg_end - w)) - 1) << shift;
+            let mut new_bits = 0u64;
+            for (i, (a, b)) in d.iter().zip(p).enumerate() {
+                new_bits |= ((a != b) as u64) << (shift + i);
             }
+            bits[blk] = (bits[blk] & !mask) | new_bits;
         }
+        w = seg_end;
     }
-    if (to - from) % 2 == 1 {
-        // Odd trailing word.
-        let i = to - from - 1;
-        let tw = u32::from_ne_bytes(t[i * WORD_SIZE..][..WORD_SIZE].try_into().unwrap());
-        let cw = u32::from_ne_bytes(c[i * WORD_SIZE..][..WORD_SIZE].try_into().unwrap());
-        if tw != cw {
-            open.get_or_insert(from + i);
-        } else {
-            close(&mut open, from + i, diff);
-        }
+}
+
+/// Changed bits of one full 64-word block, bit `i` set iff word `i`
+/// differs.  The compare fills a byte flag per word (vectorizable, no
+/// branches), and each 8 flags are packed into 8 bits by one multiply:
+/// flag `j` sits at bit `8j` of the little-endian load, and the constant's
+/// byte `7 - j` shifts it to bit `56 + j` without carries.
+#[inline]
+fn block_changed_bits(data: &[[u8; WORD_SIZE]; 64], pre: &[[u8; WORD_SIZE]; 64]) -> u64 {
+    let mut flags = [0u8; 64];
+    for ((f, a), b) in flags.iter_mut().zip(data).zip(pre) {
+        *f = (u32::from_ne_bytes(*a) != u32::from_ne_bytes(*b)) as u8;
     }
-    close(&mut open, to, diff);
+    let mut bits = 0u64;
+    for (k, f) in flags.as_chunks::<8>().0.iter().enumerate() {
+        let packed = u64::from_le_bytes(*f).wrapping_mul(0x0102_0408_1020_4080) >> 56;
+        bits |= packed << (8 * k);
+    }
+    bits
 }
 
 #[cfg(test)]
@@ -612,7 +608,7 @@ mod tests {
         for w in [0usize, 1, 62, 63, 64, 120, 255] {
             changed[w / 64] |= 1 << (w % 64);
         }
-        let d = Diff::from_changed_shared(PageId(2), &Arc::from(&cur[..]), &changed);
+        let d = Diff::from_changed_shared(PageId(2), &Rc::from(&cur[..]), &changed);
         assert_eq!(d, Diff::create(PageId(2), &twin, &cur));
     }
 }

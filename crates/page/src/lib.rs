@@ -69,8 +69,10 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// 16 to 275 words: most pages hold full 64-word blocks (the block
+    /// kernel) as well as a partial tail block.
     fn word_aligned_page() -> impl Strategy<Value = Vec<u8>> {
-        prop::collection::vec(any::<u8>(), 64..=256).prop_map(|mut v| {
+        prop::collection::vec(any::<u8>(), 64..=1100).prop_map(|mut v| {
             let len = v.len() / WORD_SIZE * WORD_SIZE;
             v.truncate(len.max(WORD_SIZE));
             v
@@ -150,8 +152,9 @@ mod proptests {
             }
         }
 
-        /// The optimized word-integer scan is equivalent to the original
-        /// naive per-word slice-compare implementation, for any page pair.
+        /// `Diff::create` (block changed-word kernel, then run extraction)
+        /// is equivalent to the original naive per-word slice-compare
+        /// implementation, for any page pair.
         #[test]
         fn diff_create_equivalent_to_naive(twin in word_aligned_page(), seed in any::<u64>()) {
             let mut current = twin.clone();
@@ -276,7 +279,7 @@ mod proptests {
                 1..8,
             ),
         ) {
-            use std::sync::Arc;
+            use std::rc::Rc;
 
             let page_size = 4096usize;
             let mut writer = LocalPage::new_zeroed(page_size);
@@ -295,7 +298,7 @@ mod proptests {
 
             // Simulated interval log: published diffs stay alive (pinning
             // the writer's image) until "GC" drops them below.
-            let mut log: Vec<Arc<Diff>> = Vec::new();
+            let mut log: Vec<Rc<Diff>> = Vec::new();
             let mut scratch = vec![0u8; page_size];
 
             for writes in &intervals {
@@ -326,7 +329,7 @@ mod proptests {
                     // reference) must land the receiver on the mirror that
                     // eager application produces.
                     eager.apply(&mut mirror);
-                    let shared = Arc::new(shared);
+                    let shared = Rc::new(shared);
                     receiver.apply_diff(&shared, NO_EXCHANGE);
                     prop_assert_eq!(receiver.bytes(), &mirror[..]);
                     log.push(shared);
@@ -343,6 +346,53 @@ mod proptests {
             // Final contents agree across all three representations.
             prop_assert_eq!(writer.bytes(), &mirror[..]);
             prop_assert_eq!(receiver.bytes(), &mirror[..]);
+        }
+
+        /// The changed-word kernel recomputes exactly the bits of `[w0, w1)`
+        /// — full 64-word blocks, ranges starting or ending mid-block, single
+        /// words — against a per-word oracle, on 256 B to 16 KB pages, and
+        /// leaves every bit outside the range as it was (including the
+        /// stale bits sharing a block with the range's ends).
+        #[test]
+        fn exact_bits_for_range_matches_per_word_oracle(
+            size_log4 in 0u32..4,
+            seed in any::<u64>(),
+            range in (any::<u32>(), any::<u32>()),
+        ) {
+            let page_words = 64usize << (2 * size_log4);
+            let mut state = seed | 1;
+            let mut next = move || {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                state >> 33
+            };
+            let pre: Vec<u8> = (0..page_words * WORD_SIZE).map(|_| next() as u8).collect();
+            let mut data = pre.clone();
+            // Dense, sparse or no changes, and sub-word ones, per case.
+            let density = next() % 4;
+            for w in 0..page_words {
+                if density != 0 && next() % (1 << (2 * density)) == 0 {
+                    data[w * WORD_SIZE + (next() % 4) as usize] ^= 1 + (next() % 255) as u8;
+                }
+            }
+            // Half the cases draw a single word or a block-aligned range.
+            let (a, b) = (range.0 as usize % page_words, range.1 as usize % (page_words + 1));
+            let (w0, w1) = match next() % 4 {
+                0 => (a, a + 1),
+                1 => (a / 64 * 64, (a / 64 * 64 + 64 * (1 + b % 3)).min(page_words)),
+                _ => (a.min(b), a.max(b)),
+            };
+            let stale: Vec<u64> = (0..page_words / 64).map(|_| next() << 31 ^ next()).collect();
+            let mut bits = stale.clone();
+            diff::exact_bits_for_range(&data, &pre, &mut bits, w0, w1);
+            for w in 0..page_words {
+                let got = bits[w / 64] >> (w % 64) & 1 == 1;
+                let want = if (w0..w1).contains(&w) {
+                    data[w * WORD_SIZE..(w + 1) * WORD_SIZE] != pre[w * WORD_SIZE..(w + 1) * WORD_SIZE]
+                } else {
+                    stale[w / 64] >> (w % 64) & 1 == 1
+                };
+                prop_assert!(got == want, "word {} of [{}, {}): got {}", w, w0, w1, got);
+            }
         }
 
         /// PageStore write/read roundtrip at arbitrary (addr, len).

@@ -7,9 +7,9 @@
 //! (useful data) or never read before being overwritten or the end of the run
 //! (useless data).
 
-use crate::diff::Diff;
+use crate::diff::{exact_bits_for_range, Diff};
 use crate::layout::{GlobalAddr, PageId, PageLayout, WORD_SIZE};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Sentinel attribution meaning "this word was not delivered by any exchange
 /// (or its delivery has already been classified)".
@@ -19,7 +19,7 @@ pub const NO_EXCHANGE: u32 = u32::MAX;
 /// interval's twin, and per-word delivery attribution.
 ///
 /// The twin of the multiple-writer protocol is a snapshot of the page image
-/// taken at the first write of an interval.  The image is `Arc`-shared, so
+/// taken at the first write of an interval.  The image is `Rc`-shared, so
 /// taking the twin is a reference-count bump: the first store then detaches
 /// the image (the classic twin copy), and every store recomputes the changed
 /// bits of the words it touched by comparing them against the twin.  The
@@ -34,11 +34,11 @@ pub const NO_EXCHANGE: u32 = u32::MAX;
 /// delivery by reference; the next store detaches the image again.
 #[derive(Debug)]
 pub struct LocalPage {
-    data: Arc<[u8]>,
+    data: Rc<[u8]>,
     /// The twin: the page image when the current interval's first write
     /// happened, or `None` while the page is not in the interval's write
     /// set.
-    twin: Option<Arc<[u8]>>,
+    twin: Option<Rc<[u8]>>,
     /// One bit per word, set iff the word's current value differs from its
     /// value in the twin.  Meaningless while there is no twin.
     changed_words: Box<[u64]>,
@@ -126,7 +126,7 @@ impl LocalPage {
         if self.twin.is_some() {
             return false;
         }
-        self.twin = Some(Arc::clone(&self.data));
+        self.twin = Some(Rc::clone(&self.data));
         self.changed_words.fill(0);
         true
     }
@@ -165,12 +165,12 @@ impl LocalPage {
         }
         let end = offset + src.len();
         let whole_page = offset == 0 && end == self.data.len();
-        match Arc::get_mut(&mut self.data) {
+        match Rc::get_mut(&mut self.data) {
             Some(data) => data[offset..end].copy_from_slice(src),
-            None if whole_page => self.data = Arc::from(src),
+            None if whole_page => self.data = Rc::from(src),
             None => {
-                let mut data: Arc<[u8]> = Arc::from(&self.data[..]);
-                Arc::get_mut(&mut data).expect("a fresh copy is unique")[offset..end]
+                let mut data: Rc<[u8]> = Rc::from(&self.data[..]);
+                Rc::get_mut(&mut data).expect("a fresh copy is unique")[offset..end]
                     .copy_from_slice(src);
                 self.data = data;
             }
@@ -220,23 +220,23 @@ impl LocalPage {
         }
     }
 
-    /// Read `dst.len()` bytes at byte `offset` into `dst`.  For every covered
-    /// word that still carries a delivery attribution, the word counts as
-    /// read-before-overwritten (⇒ useful data) and the attribution is
-    /// cleared so the word is only credited once.  `on_useful(exchange,
-    /// words)` is invoked once per run of consecutive words credited to the
-    /// same exchange — per-exchange word totals are identical to a per-word
-    /// callback, without the call per word.
-    pub fn read_bytes(
+    /// Read `len` bytes at byte `offset`, lending them straight out of the
+    /// page image.  For every covered word that still carries a delivery
+    /// attribution, the word counts as read-before-overwritten (⇒ useful
+    /// data) and the attribution is cleared so the word is only credited
+    /// once.  `on_useful(exchange, words)` is invoked once per run of
+    /// consecutive words credited to the same exchange — per-exchange word
+    /// totals are identical to a per-word callback, without the call per
+    /// word.
+    pub fn read(
         &mut self,
         offset: usize,
-        dst: &mut [u8],
+        len: usize,
         mut on_useful: impl FnMut(u32, u32),
-    ) {
-        let end = offset + dst.len();
+    ) -> &[u8] {
+        let end = offset + len;
         assert!(end <= self.data.len(), "read outside page bounds");
-        dst.copy_from_slice(&self.data[offset..end]);
-        if !dst.is_empty() && self.pending != 0 {
+        if len != 0 && self.pending != 0 {
             let first = offset / WORD_SIZE;
             let last = (end - 1) / WORD_SIZE;
             if self.uniform != NO_EXCHANGE {
@@ -283,6 +283,7 @@ impl LocalPage {
                 }
             }
         }
+        &self.data[offset..end]
     }
 
     /// Replace the whole page with `src` — the home-based protocol's
@@ -328,7 +329,7 @@ impl LocalPage {
         match diff.whole_page_shared_image() {
             Some(image) if self.twin.is_none() => {
                 debug_assert_eq!(image.len(), self.data.len());
-                self.data = Arc::clone(image);
+                self.data = Rc::clone(image);
                 true
             }
             _ => false,
@@ -367,8 +368,7 @@ impl LocalPage {
             if all_fresh {
                 self.pending += count as u32;
             } else {
-                let fresh = slice.iter().filter(|&&a| a == NO_EXCHANGE).count();
-                self.pending += fresh as u32;
+                self.pending += fresh_words(slice);
             }
             slice.fill(exchange);
         }
@@ -429,8 +429,7 @@ impl LocalPage {
                     if all_fresh {
                         self.pending += slice.len() as u32;
                     } else {
-                        let fresh = slice.iter().filter(|&&a| a == NO_EXCHANGE).count();
-                        self.pending += fresh as u32;
+                        self.pending += fresh_words(slice);
                     }
                     slice.fill(exchange);
                 }
@@ -460,51 +459,14 @@ impl LocalPage {
     }
 }
 
-/// Recompute the changed-word bits of words `[w0, w1)` by direct comparison
-/// of `data` against the complete pre-interval snapshot `pre`:
-/// `bit(w) = (data word w != pre word w)`, set *or cleared*.  Words outside
-/// the range keep their bits.  Pairs of words are compared as one `u64` XOR
-/// with an endian split, as in the diff scan.
-fn exact_bits_for_range(data: &[u8], pre: &[u8], bits: &mut [u64], w0: usize, w1: usize) {
-    /// Bits of the lower-addressed word within a native-endian `u64` read
-    /// across two consecutive words.
-    const FIRST: u64 = if cfg!(target_endian = "little") {
-        0x0000_0000_FFFF_FFFF
-    } else {
-        0xFFFF_FFFF_0000_0000
-    };
-    let mut w = w0;
-    while w < w1 {
-        let blk = w / 64;
-        let seg_end = ((blk + 1) * 64).min(w1);
-        let lo = w % 64;
-        let n = seg_end - w;
-        let mask = if n == 64 {
-            !0u64
-        } else {
-            ((1u64 << n) - 1) << lo
-        };
-        let mut new_bits = 0u64;
-        let mut wi = w;
-        while wi + 1 < seg_end {
-            let b = wi * WORD_SIZE;
-            let d8 = u64::from_ne_bytes(data[b..b + 8].try_into().unwrap());
-            let p8 = u64::from_ne_bytes(pre[b..b + 8].try_into().unwrap());
-            let x = d8 ^ p8;
-            let sh = wi % 64;
-            new_bits |=
-                ((((x & FIRST) != 0) as u64) << sh) | ((((x & !FIRST) != 0) as u64) << (sh + 1));
-            wi += 2;
-        }
-        if wi < seg_end {
-            let b = wi * WORD_SIZE;
-            if data[b..b + WORD_SIZE] != pre[b..b + WORD_SIZE] {
-                new_bits |= 1u64 << (wi % 64);
-            }
-        }
-        bits[blk] = (bits[blk] & !mask) | new_bits;
-        w = seg_end;
-    }
+/// Number of `attribution` entries that carry no delivery — the words a
+/// fresh attribution adds to `pending`.  Summed as 0/1 lanes rather than
+/// filtered and counted, so the loop vectorizes.
+fn fresh_words(attribution: &[u32]) -> u32 {
+    attribution
+        .iter()
+        .map(|&a| (a == NO_EXCHANGE) as u32)
+        .sum::<u32>()
 }
 
 /// A processor's private view of the entire shared address space.
@@ -568,21 +530,38 @@ impl PageStore {
     }
 
     /// Read into `dst` from global address `addr`, splitting across pages.
-    /// `on_useful(exchange, words)` is invoked for delivered words read for
+    /// `on_useful(exchange, bytes)` is invoked for delivered words read for
     /// the first time, aggregated per page segment.
-    pub fn read(&mut self, addr: GlobalAddr, dst: &mut [u8], mut on_useful: impl FnMut(u32, u64)) {
-        let mut filled = 0usize;
+    pub fn read(&mut self, addr: GlobalAddr, dst: &mut [u8], on_useful: impl FnMut(u32, u64)) {
+        let mut filled = 0;
+        self.read_with(addr, dst.len(), on_useful, |seg| {
+            dst[filled..filled + seg.len()].copy_from_slice(seg);
+            filled += seg.len();
+        });
+    }
+
+    /// Read `len` bytes from global address `addr` without copying them:
+    /// each page segment is credited exactly as [`read`](Self::read)
+    /// credits it, then lent to `lend` straight out of the page image, in
+    /// address order.  A value that straddles a page boundary arrives split
+    /// across two consecutive segments.
+    pub fn read_with(
+        &mut self,
+        addr: GlobalAddr,
+        len: usize,
+        mut on_useful: impl FnMut(u32, u64),
+        mut lend: impl FnMut(&[u8]),
+    ) {
+        let mut remaining = len;
         let mut cursor = addr;
-        while filled < dst.len() {
+        while remaining > 0 {
             let page = self.layout.page_of(cursor);
             let off = self.layout.offset_in_page(cursor);
-            let avail = self.layout.page_size() - off;
-            let take = avail.min(dst.len() - filled);
-            self.page_mut(page)
-                .read_bytes(off, &mut dst[filled..filled + take], |e, words| {
-                    on_useful(e, words as u64 * WORD_SIZE as u64)
-                });
-            filled += take;
+            let take = (self.layout.page_size() - off).min(remaining);
+            lend(self.page_mut(page).read(off, take, |e, words| {
+                on_useful(e, words as u64 * WORD_SIZE as u64)
+            }));
+            remaining -= take;
             cursor = cursor.add(take as u64);
         }
     }
@@ -744,8 +723,7 @@ mod tests {
         assert_eq!(p.pending_attributions(), 3);
 
         // A read consumes one word's attribution...
-        let mut buf = [0u8; 4];
-        p.read_bytes(0, &mut buf, |_, _| {});
+        p.read(0, 4, |_, _| {});
         assert_eq!(p.pending_attributions(), 2);
         // ...a write consumes another...
         p.write_bytes(4, &[9; 4]);
